@@ -5,11 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -27,20 +27,17 @@ echo "==> sharding gate: --shards 1 must be byte-identical to no flag"
 diff /tmp/ci-noshard.txt /tmp/ci-shard1.txt
 rm -f /tmp/ci-noshard.txt /tmp/ci-shard1.txt
 
-echo "==> memtable gate: skiplist stress suite, pipelined apply forced on"
-# LSM_PIPELINED_APPLY=1 exercises the out-of-lock apply protocol even on
-# single-core CI runners, where it would otherwise auto-disable.
+echo "==> memtable gate: memtable stress suite"
 timeout 240 cargo test -q -p lsm-kvs --test memtable_stress
-LSM_PIPELINED_APPLY=1 timeout 240 cargo test -q -p lsm-kvs --test memtable_stress
 
-echo "==> memtable gate: --memtable skiplist db_bench smoke (write + read back)"
+echo "==> memtable gate: prefix bloom + two-level index db_bench smoke (write + read back)"
 ./target/release/db_bench --benchmarks fillrandom,readrandom --num 20000 \
-    --real-time --threads 4 --sync false --memtable skiplist \
+    --real-time --threads 4 --sync false \
     --option prefix_extractor_len=8 --option index_type=two_level \
-    > /tmp/ci-skiplist.txt
-grep -q "^fillrandom" /tmp/ci-skiplist.txt
-grep -q "^readrandom" /tmp/ci-skiplist.txt
-rm -f /tmp/ci-skiplist.txt
+    > /tmp/ci-memtable.txt
+grep -q "^fillrandom" /tmp/ci-memtable.txt
+grep -q "^readrandom" /tmp/ci-memtable.txt
+rm -f /tmp/ci-memtable.txt
 
 echo "==> crash-recovery gate: 25 wall-clock power-cut cycles (120s timeout)"
 CRASH_DIR="$(mktemp -d)"

@@ -245,6 +245,15 @@ struct DbState {
     obsolete_files: Vec<Arc<FileMetadata>>,
 }
 
+/// What one read sees: the memtables and version captured together
+/// under the state lock, and the sequence the read runs at.
+struct ReadView {
+    mem: Arc<MemTable>,
+    imm: Vec<Arc<MemTable>>,
+    version: Arc<Version>,
+    snapshot: SequenceNumber,
+}
+
 /// Aggregate statistics exposed for prompts, reports, and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DbStats {
@@ -337,10 +346,6 @@ impl Default for ReadOptions {
 
 /// Upper bound on batches coalesced into one commit group.
 const MAX_GROUP_BATCHES: usize = 128;
-
-/// How many pipelined-apply batches may commit between two switch-trigger
-/// checks (which need the state lock the pipeline otherwise avoids).
-const PIPELINED_CHECK_BATCHES: u64 = 16;
 
 /// How long a stalled real-mode writer waits before giving up.
 const REAL_STALL_TIMEOUT: Duration = Duration::from_secs(30);
@@ -471,6 +476,61 @@ impl DbInner {
             Some(w) if ttl_expired(w, self.now_secs(), self.opts().ttl_seconds) => None,
             _ => Some(value.to_vec()),
         }
+    }
+
+    /// Captures the view `get`, `multi_get` and `scan` read from. Sim
+    /// mode first delivers background events due by now.
+    fn read_view(&self, ropts: &ReadOptions) -> Result<ReadView> {
+        let mut state = self.state.lock();
+        if self.runtime.is_none() {
+            let now = self.env.clock().now();
+            self.pump_events(&mut state, now)?;
+        }
+        let mem = Arc::clone(&state.mem);
+        let imm = state.imm.iter().map(|e| Arc::clone(&e.mem)).collect();
+        let version = Arc::clone(&state.version);
+        // Real mode: read the published watermark instead of last_seq,
+        // which may include a group still committing (its entries not
+        // yet in the memtable).
+        let visible = match &self.runtime {
+            Some(rt) => rt.visible_seq(),
+            None => state.last_seq,
+        };
+        // An explicit snapshot can only look backwards: clamp it to the
+        // visible watermark so a stale handle never reads uncommitted state.
+        let snapshot = ropts.snapshot_seq.map_or(visible, |s| s.min(visible));
+        Ok(ReadView { mem, imm, version, snapshot })
+    }
+
+    /// Probes one memtable for `key` at `snapshot`: `Some(Some(v))` is a
+    /// live value (TTL stamp stripped), `Some(None)` a tombstone or an
+    /// expired value, and `None` means the memtable holds no entry.
+    fn probe_memtable(
+        &self,
+        mem: &MemTable,
+        key: &[u8],
+        snapshot: SequenceNumber,
+    ) -> Option<Option<Vec<u8>>> {
+        match mem.get(key, snapshot) {
+            MemTableGet::Found(v) => Some(Some(v)),
+            MemTableGet::FoundTtl(v) => Some(self.resolve_ttl(&v)),
+            MemTableGet::Deleted => Some(None),
+            MemTableGet::NotFound => None,
+        }
+    }
+
+    /// Multiplier on a point read's CPU charge: background contention,
+    /// the paranoid-check and direct-read overheads, and memory pressure.
+    fn read_cost_factor(&self) -> f64 {
+        let opts = self.opts();
+        let mut factor = self.foreground_contention(self.env.clock().now());
+        if opts.paranoid_checks {
+            factor *= 1.08;
+        }
+        if opts.use_direct_reads {
+            factor *= 1.05;
+        }
+        factor * self.env.memory().penalty_factor()
     }
 }
 
@@ -857,10 +917,9 @@ impl Db {
         let record = edit.encode();
         let DbState { manifest, .. } = &mut *state;
         inner.log_manifest(manifest, &record)?;
-        let first = state.last_seq + 1;
         state.last_seq = seq;
         if let Some(rt) = &inner.runtime {
-            rt.advance_applied(first, seq, true);
+            rt.publish_visible(seq);
         }
         Ok(())
     }
@@ -1431,24 +1490,15 @@ impl Db {
             drop(queue);
             let result = inner.commit_group(rt, &mut group);
             queue = rt.commit.lock();
-            match result {
-                // Pipelined apply: the group released leadership at the
-                // WAL hand-off and advanced its own completion watermark.
-                Ok(true) => {}
-                Ok(false) | Err(_) => {
-                    let last_id = group.last().expect("leader drained at least one").0;
-                    if let Err(e) = &result {
-                        for (gid, _) in &group {
-                            queue.failures.push((*gid, e.clone()));
-                        }
-                    }
-                    // `max`: a pipelined predecessor may have advanced the
-                    // watermark past older ids already.
-                    queue.completed = queue.completed.max(last_id + 1);
-                    queue.leader_active = false;
-                    rt.commit_cv.notify_all();
+            let last_id = group.last().expect("leader drained at least one").0;
+            if let Err(e) = &result {
+                for (gid, _) in &group {
+                    queue.failures.push((*gid, e.clone()));
                 }
             }
+            queue.completed = last_id + 1;
+            queue.leader_active = false;
+            rt.commit_cv.notify_all();
             // This writer's own batch may not have been in the group it
             // led (group size capped); if so, go around again.
         }
@@ -1475,85 +1525,23 @@ impl Db {
     pub fn get_opt(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let inner = &*self.inner;
         let started = inner.env.clock().now();
-        let (mem, imm, version, snapshot) = {
-            let mut state = inner.state.lock();
-            if inner.runtime.is_none() {
-                let now = inner.env.clock().now();
-                inner.pump_events(&mut state, now)?;
-            }
-            (
-                Arc::clone(&state.mem),
-                state
-                    .imm
-                    .iter()
-                    .map(|e| Arc::clone(&e.mem))
-                    .collect::<Vec<_>>(),
-                Arc::clone(&state.version),
-                // Real mode: read the published watermark instead of
-                // last_seq, which may include a group still committing
-                // (its entries not yet in the memtable).
-                match &inner.runtime {
-                    Some(rt) => rt.visible_seq(),
-                    None => state.last_seq,
-                },
-            )
-        };
-        // An explicit snapshot can only look backwards: clamp it to the
-        // visible watermark so a stale handle never reads uncommitted state.
-        let snapshot = ropts.snapshot_seq.map_or(snapshot, |s| s.min(snapshot));
+        let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
 
         let mut cpu = inner.cost.get_base_cpu + inner.cost.memtable_probe_cpu;
-        let mut found: Option<Option<Vec<u8>>> = None;
-
-        match mem.get(key, snapshot) {
-            MemTableGet::Found(v) => {
-                inner.stats.tickers().inc(Ticker::MemtableHit);
-                found = Some(Some(v));
-            }
-            MemTableGet::FoundTtl(v) => {
-                inner.stats.tickers().inc(Ticker::MemtableHit);
-                found = Some(inner.resolve_ttl(&v));
-            }
-            MemTableGet::Deleted => {
-                inner.stats.tickers().inc(Ticker::MemtableHit);
-                found = Some(None);
-            }
-            MemTableGet::NotFound => {}
-        }
-        if found.is_none() {
-            for m in &imm {
+        let mut found = inner.probe_memtable(&mem, key, snapshot);
+        if found.is_some() {
+            inner.stats.tickers().inc(Ticker::MemtableHit);
+        } else {
+            found = imm.iter().find_map(|m| {
                 cpu += inner.cost.memtable_probe_cpu;
-                match m.get(key, snapshot) {
-                    MemTableGet::Found(v) => {
-                        found = Some(Some(v));
-                        break;
-                    }
-                    MemTableGet::FoundTtl(v) => {
-                        found = Some(inner.resolve_ttl(&v));
-                        break;
-                    }
-                    MemTableGet::Deleted => {
-                        found = Some(None);
-                        break;
-                    }
-                    MemTableGet::NotFound => {}
-                }
-            }
+                inner.probe_memtable(m, key, snapshot)
+            });
         }
         if found.is_none() {
             inner.stats.tickers().inc(Ticker::MemtableMiss);
             found = inner.search_tables(&version, key, snapshot, ropts, &mut cpu)?;
         }
-
-        let mut factor = inner.foreground_contention(inner.env.clock().now());
-        if inner.opts().paranoid_checks {
-            factor *= 1.08;
-        }
-        if inner.opts().use_direct_reads {
-            factor *= 1.05;
-        }
-        factor *= inner.env.memory().penalty_factor();
-        inner.env.clock().advance(cpu.mul_f64(factor));
+        inner.env.clock().advance(cpu.mul_f64(inner.read_cost_factor()));
 
         inner.stats.tickers().inc(Ticker::KeysRead);
         inner
@@ -1607,27 +1595,7 @@ impl Db {
             return Ok(Vec::new());
         }
         let started = inner.env.clock().now();
-        let (mem, imm, version, snapshot) = {
-            let mut state = inner.state.lock();
-            if inner.runtime.is_none() {
-                let now = inner.env.clock().now();
-                inner.pump_events(&mut state, now)?;
-            }
-            (
-                Arc::clone(&state.mem),
-                state
-                    .imm
-                    .iter()
-                    .map(|e| Arc::clone(&e.mem))
-                    .collect::<Vec<_>>(),
-                Arc::clone(&state.version),
-                match &inner.runtime {
-                    Some(rt) => rt.visible_seq(),
-                    None => state.last_seq,
-                },
-            )
-        };
-        let snapshot = ropts.snapshot_seq.map_or(snapshot, |s| s.min(snapshot));
+        let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
 
         // The per-op base CPU is paid once for the whole batch; that is
         // the first half of the amortization (the other half is shared
@@ -1637,23 +1605,12 @@ impl Db {
         // at some layer, `Some(Some(v))` = found.
         let mut results: Vec<Option<Option<Vec<u8>>>> = vec![None; keys.len()];
 
-        // The live memtable is probed lock-free for the whole batch.
+        // The live memtable is probed for the whole batch first.
         for (i, key) in keys.iter().enumerate() {
             cpu += inner.cost.memtable_probe_cpu;
-            match mem.get(key.as_ref(), snapshot) {
-                MemTableGet::Found(v) => {
-                    inner.stats.tickers().inc(Ticker::MemtableHit);
-                    results[i] = Some(Some(v));
-                }
-                MemTableGet::FoundTtl(v) => {
-                    inner.stats.tickers().inc(Ticker::MemtableHit);
-                    results[i] = Some(inner.resolve_ttl(&v));
-                }
-                MemTableGet::Deleted => {
-                    inner.stats.tickers().inc(Ticker::MemtableHit);
-                    results[i] = Some(None);
-                }
-                MemTableGet::NotFound => {}
+            results[i] = inner.probe_memtable(&mem, key.as_ref(), snapshot);
+            if results[i].is_some() {
+                inner.stats.tickers().inc(Ticker::MemtableHit);
             }
         }
         for m in &imm {
@@ -1665,12 +1622,7 @@ impl Db {
                     continue;
                 }
                 cpu += inner.cost.memtable_probe_cpu;
-                match m.get(key.as_ref(), snapshot) {
-                    MemTableGet::Found(v) => results[i] = Some(Some(v)),
-                    MemTableGet::FoundTtl(v) => results[i] = Some(inner.resolve_ttl(&v)),
-                    MemTableGet::Deleted => results[i] = Some(None),
-                    MemTableGet::NotFound => {}
-                }
+                results[i] = inner.probe_memtable(m, key.as_ref(), snapshot);
             }
         }
 
@@ -1695,15 +1647,7 @@ impl Db {
             )?;
         }
 
-        let mut factor = inner.foreground_contention(inner.env.clock().now());
-        if inner.opts().paranoid_checks {
-            factor *= 1.08;
-        }
-        if inner.opts().use_direct_reads {
-            factor *= 1.05;
-        }
-        factor *= inner.env.memory().penalty_factor();
-        inner.env.clock().advance(cpu.mul_f64(factor));
+        inner.env.clock().advance(cpu.mul_f64(inner.read_cost_factor()));
 
         let n = keys.len() as u64;
         inner.stats.tickers().add(Ticker::KeysRead, n);
@@ -1744,28 +1688,7 @@ impl Db {
     /// Propagates I/O and corruption errors from table reads.
     pub fn scan_opt(&self, ropts: &ReadOptions, start: &[u8], count: usize) -> Result<ScanResult> {
         let inner = &*self.inner;
-        let (mem, imm, version, snapshot) = {
-            let mut state = inner.state.lock();
-            if inner.runtime.is_none() {
-                let now = inner.env.clock().now();
-                inner.pump_events(&mut state, now)?;
-            }
-            (
-                Arc::clone(&state.mem),
-                state
-                    .imm
-                    .iter()
-                    .map(|e| Arc::clone(&e.mem))
-                    .collect::<Vec<_>>(),
-                Arc::clone(&state.version),
-                match &inner.runtime {
-                    Some(rt) => rt.visible_seq(),
-                    None => state.last_seq,
-                },
-            )
-        };
-
-        let snapshot = ropts.snapshot_seq.map_or(snapshot, |s| s.min(snapshot));
+        let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
 
         let target = crate::types::lookup_key(start, snapshot);
         let mut cursors: Vec<Box<dyn ScanCursor>> = Vec::new();
@@ -2371,13 +2294,12 @@ fn memtable_bloom_bytes(opts: &Options) -> usize {
     (opts.write_buffer_size as f64 * opts.memtable_prefix_bloom_size_ratio) as usize
 }
 
-/// Builds a fresh active memtable from the current options: chosen
-/// representation, bloom sized off the write buffer, and the configured
-/// bloom prefix length. Entry count is estimated at ~128 bytes/entry so
-/// the derived probe count tracks the actual bits-per-key budget.
+/// Builds a fresh active memtable from the current options: bloom sized
+/// off the write buffer, and the configured bloom prefix length. Entry
+/// count is estimated at ~128 bytes/entry so the derived probe count
+/// tracks the actual bits-per-key budget.
 fn new_memtable(opts: &Options) -> MemTable {
     MemTable::with_config(
-        opts.memtable_factory,
         memtable_bloom_bytes(opts),
         (opts.write_buffer_size / 128).max(16) as usize,
         opts.prefix_extractor_len as usize,
@@ -2660,14 +2582,6 @@ impl DbInner {
         if state.mem.is_empty() {
             return Ok(());
         }
-        // Pipelined commit groups apply to the active memtable without
-        // holding the state lock. Retiring the table mid-apply would let
-        // the flush snapshot it before those entries land, so wait for
-        // quiescence: new applies cannot start (they register under this
-        // lock) and in-flight ones finish in microseconds.
-        while state.mem.applies_in_flight() > 0 {
-            std::hint::spin_loop();
-        }
         // Readers hold their own `Arc` to the old memtable; swapping the
         // state pointer never blocks them.
         let old = std::mem::replace(&mut state.mem, Arc::new(new_memtable(&self.opts())));
@@ -2696,28 +2610,12 @@ impl DbInner {
 
     /// Commits a leader-drained group: one stall check, one sequence
     /// reservation, one WAL append (and at most one sync), one memtable
-    /// application.
-    ///
-    /// With the map memtable everything happens under a single state
-    /// critical section and the caller finalizes the group (`Ok(false)`).
-    /// With a concurrent memtable and `allow_concurrent_memtable_write`,
-    /// the apply is pipelined: leadership is handed to the next queued
-    /// writer right after the WAL work, the entries are inserted with no
-    /// engine lock held while the next leader appends its own group, and
-    /// visibility plus completion advance through the ordered apply gate.
-    /// `Ok(true)` means the group finalized itself — the caller must not
-    /// touch the queue bookkeeping.
-    fn commit_group(&self, rt: &Runtime, group: &mut [(u64, PreparedWrite)]) -> Result<bool> {
+    /// application, all under a single state critical section. The
+    /// caller releases the group's writers once this returns.
+    fn commit_group(&self, rt: &Runtime, group: &mut [(u64, PreparedWrite)]) -> Result<()> {
         let mut state = self.state.lock();
         let group_bytes: u64 = group.iter().map(|(_, p)| p.record.len() as u64).sum();
-        if let Err(e) = self.real_wait_writable(rt, &mut state, group_bytes) {
-            // No sequences reserved: just drain the apply gate so the
-            // caller's completion watermark cannot release a pipelined
-            // predecessor's writers before that group publishes.
-            let reserved = state.last_seq;
-            rt.advance_applied(reserved + 1, reserved, false);
-            return Err(e);
-        }
+        self.real_wait_writable(rt, &mut state, group_bytes)?;
 
         // Reserve sequences and stamp them into the prepared batches.
         let first_seq = state.last_seq + 1;
@@ -2730,14 +2628,14 @@ impl DbInner {
         }
         let last_seq = seq - 1;
         state.last_seq = last_seq;
-        let last_id = group.last().expect("leader drained at least one").0;
 
         // One buffered append for the whole group. The append is atomic
         // at the VFS layer, so a *transient* failure leaves the log at a
         // clean frame boundary: rotate to a fresh WAL, fail only this
         // group, and keep the database alive. Anything else is fatal —
         // later appends after a torn record would be silently dropped by
-        // recovery.
+        // recovery. A failed group publishes nothing; readers simply
+        // skip the abandoned sequence range.
         if !self.opts().disable_wal {
             let records: Vec<&[u8]> = group.iter().map(|(_, p)| p.record.as_slice()).collect();
             let wal = state.wal.as_mut().expect("wal enabled");
@@ -2754,108 +2652,25 @@ impl DbInner {
                     if let Err(rot) = self.rotate_wal(&mut state) {
                         rt.set_fatal(rot);
                     }
-                    rt.advance_applied(first_seq, last_seq, false);
                     return Err(e);
                 }
                 Err(e) => {
                     rt.set_fatal(e.clone());
-                    rt.advance_applied(first_seq, last_seq, false);
                     return Err(e);
                 }
             }
-        }
-
-        // Pipelined apply: only worthwhile when inserts can overlap with
-        // the next group's WAL append and with readers, i.e. when the
-        // memtable representation is itself concurrency-safe.
-        if rt.pipelined_apply_enabled()
-            && self.opts().allow_concurrent_memtable_write
-            && !self.opts().enable_pipelined_write
-            && state.mem.concurrent_apply_safe()
-        {
-            if let Err(e) = self.real_sync_wal(rt, &mut state, group_sync) {
-                rt.advance_applied(first_seq, last_seq, false);
-                return Err(e);
-            }
-            let mem = Arc::clone(&state.mem);
-            mem.begin_apply();
-            drop(state);
-            // Hand leadership to the next queued writer; its stall check
-            // and WAL append run while this group's entries land. A wake
-            // is only needed when batches are actually parked — a writer
-            // arriving later self-elects on seeing `leader_active` clear.
-            {
-                let mut queue = rt.commit.lock();
-                queue.leader_active = false;
-                if !queue.pending.is_empty() {
-                    rt.commit_cv.notify_one();
-                }
-            }
-            // Replica durability, with no engine lock held and before
-            // this group's writers are released below.
-            if group_sync {
-                if let Some(sink) = &self.wal_sink {
-                    sink.wait_durable(last_seq);
-                }
-            }
-            let mut keys = 0u64;
-            let mut payload = 0u64;
-            let mut scratch = Vec::new();
-            for (_, prepared) in group.iter() {
-                keys += prepared.count;
-                payload += prepared.payload_bytes;
-                prepared.apply_to(&mem, &mut scratch);
-            }
-            // Ordered publish, then release this group's writers. Both
-            // happen on this thread, so a writer observing completion is
-            // guaranteed to read its own write.
-            rt.advance_applied(first_seq, last_seq, true);
-            {
-                let mut queue = rt.commit.lock();
-                queue.completed = queue.completed.max(last_id + 1);
-                rt.commit_cv.notify_all();
-            }
-            mem.end_apply();
-            self.stats.tickers().add(Ticker::KeysWritten, keys);
-            self.stats.tickers().add(Ticker::BytesWritten, payload);
-            self.stats.tickers().inc(Ticker::GroupCommits);
-            self.stats.tickers().add(Ticker::GroupCommitBatches, group.len() as u64);
-            // Switch triggers need the state lock again, which would
-            // serialize right back against the next leader's WAL phase.
-            // Amortize it: re-check only every few batches, or as soon as
-            // the memtable (tracked by a lock-free counter) nears its
-            // threshold. The WAL-size trigger is delayed by at most one
-            // check window. Writers were already released above, so a
-            // switch failure latches the fatal error instead of failing
-            // this (durable) group.
-            rt.pipelined_batches
-                .fetch_add(group.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            let mem_bytes = mem.approximate_memory_usage() as u64;
-            let due = mem_bytes + (mem_bytes >> 3) >= self.opts().write_buffer_size
-                || rt.pipelined_batches.load(std::sync::atomic::Ordering::Relaxed)
-                    >= PIPELINED_CHECK_BATCHES;
-            if due {
-                let pending =
-                    rt.pipelined_batches.swap(0, std::sync::atomic::Ordering::Relaxed);
-                let mut state = self.state.lock();
-                let _ = self.real_post_commit(rt, &mut state, pending);
-            }
-            return Ok(true);
         }
 
         if self.opts().enable_pipelined_write {
             // Pipelined visibility: entries become visible before the
             // sync returns (visibility before durability, as in RocksDB).
             self.apply_group_to_memtable(&state, group);
-            rt.advance_applied(first_seq, last_seq, true);
+            rt.publish_visible(last_seq);
             self.real_sync_wal(rt, &mut state, group_sync)?;
         } else {
-            if let Err(e) = self.real_sync_wal(rt, &mut state, group_sync) {
-                rt.advance_applied(first_seq, last_seq, false);
-                return Err(e);
-            }
+            self.real_sync_wal(rt, &mut state, group_sync)?;
             self.apply_group_to_memtable(&state, group);
-            rt.advance_applied(first_seq, last_seq, true);
+            rt.publish_visible(last_seq);
         }
         self.stats.tickers().inc(Ticker::GroupCommits);
         self.stats.tickers().add(Ticker::GroupCommitBatches, group.len() as u64);
@@ -2872,11 +2687,11 @@ impl DbInner {
                 sink.wait_durable(last_seq);
             }
         }
-        Ok(false)
+        Ok(())
     }
 
-    /// Memtable switch triggers and periodic memory accounting shared by
-    /// both real-mode commit flavors (mirrors the sim write path).
+    /// Memtable switch triggers and periodic memory accounting after a
+    /// commit group (mirrors the sim write path).
     fn real_post_commit(
         &self,
         rt: &Runtime,
@@ -4248,10 +4063,8 @@ trait ScanCursor {
     fn advance(&mut self, inner: &DbInner) -> Result<()>;
 }
 
-/// Scan cursor over one memtable (active or immutable): a real stepping
-/// cursor, not a re-seek per entry. On the skiplist rep a step is one
-/// atomic pointer load; on the `BTreeMap` rep the cursor falls back to
-/// bounded range queries internally.
+/// Scan cursor over one memtable (active or immutable); each step is one
+/// bounded range query past the current entry.
 struct MemCursor {
     cur: MemTableCursor,
 }

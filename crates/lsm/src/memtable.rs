@@ -2,22 +2,12 @@
 //!
 //! Entries are kept in internal-key order (user key ascending, sequence
 //! descending) so lookups find the newest visible version first and
-//! flushes emit sorted runs directly.
+//! flushes emit sorted runs directly. The store is a `BTreeMap` behind a
+//! reader-writer lock; single-threaded (sim) runs are byte-identical with
+//! it, which is what keeps `repro table5` deterministic.
 //!
-//! Two representations sit behind one `&self` facade:
-//!
-//! - [`MemtableRep::BTreeMap`] (default): a `BTreeMap` behind a
-//!   reader-writer lock. Single-threaded (sim) runs are byte-identical
-//!   with it, which is what keeps `repro table5` deterministic.
-//! - [`MemtableRep::SkipList`]: a lock-free concurrent skiplist
-//!   ([`skiplist`]); readers never block and group-commit appliers link
-//!   entries with CAS instead of serializing on one write lock.
-//!
-//! Accounting (approximate bytes, first/last sequence) lives on the facade
-//! as atomics with the same arithmetic for both reps, so flush thresholds
-//! behave identically regardless of representation.
-
-mod skiplist;
+//! Accounting (approximate bytes, first/last sequence) is kept in atomics
+//! beside the map, so reading it never takes the lock.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -28,11 +18,8 @@ use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard};
 
-use crate::options::MemtableRep;
 use crate::sstable::bloom::{BloomBuilder, BloomFilter};
 use crate::types::{internal_key_cmp, InternalKey, SequenceNumber, ValueType};
-
-use skiplist::{Node, SkipIter, SkipList};
 
 /// A byte key ordered by the internal-key comparator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,37 +53,25 @@ pub enum MemTableGet {
     NotFound,
 }
 
-enum Rep {
-    BTree(RwLock<BTreeMap<OrderedKey, Vec<u8>>>),
-    Skip(SkipList),
-}
-
 /// An ordered in-memory buffer of recent writes.
 ///
-/// All mutation goes through `&self`: the map representation locks
-/// internally and the skiplist representation is lock-free, so the
+/// All mutation goes through `&self` (the map locks internally), so the
 /// surrounding `Db` can share one `Arc<MemTable>` between writers,
 /// readers, cursors, and flush without an outer lock.
 ///
 /// Memory accounting is approximate (key + value + fixed per-entry
 /// overhead), mirroring how RocksDB charges its arena.
 pub struct MemTable {
-    rep: Rep,
+    map: RwLock<BTreeMap<OrderedKey, Vec<u8>>>,
     /// Optional bloom filter over user keys (and key prefixes when
     /// `prefix_len > 0`), enabled by `memtable_prefix_bloom_size_ratio > 0`.
     bloom: Option<MemTableBloom>,
     /// Fixed prefix length added to the bloom alongside whole keys.
     prefix_len: usize,
     approximate_bytes: AtomicUsize,
-    /// `u64::MAX` = no entry yet; kept with `fetch_min` so concurrent
-    /// appliers agree on the smallest sequence.
+    /// `u64::MAX` = no entry yet.
     first_seq: AtomicU64,
     last_seq: AtomicU64,
-    /// Commit groups currently applying outside the engine's state lock
-    /// (pipelined apply). The memtable may not be retired to the
-    /// immutable list until this drains to zero, or a flush could
-    /// snapshot the table mid-apply and silently drop entries.
-    pending_applies: AtomicUsize,
 }
 
 struct MemTableBloom {
@@ -152,28 +127,19 @@ fn bloom_hashes(key: &[u8]) -> (u64, u64) {
 const ENTRY_OVERHEAD: usize = 48;
 
 impl MemTable {
-    /// Creates an empty memtable with the default (`BTreeMap`)
-    /// representation. `bloom_bytes > 0` enables the in-memory bloom
-    /// filter at roughly that size, sized for ~1 entry per filter byte
-    /// (which lands on the historical 6 probes).
+    /// Creates an empty memtable. `bloom_bytes > 0` enables the in-memory
+    /// bloom filter at roughly that size, sized for ~1 entry per filter
+    /// byte (which lands on the historical 6 probes).
     pub fn new(bloom_bytes: usize) -> Self {
-        Self::with_config(MemtableRep::BTreeMap, bloom_bytes, bloom_bytes, 0)
+        Self::with_config(bloom_bytes, bloom_bytes, 0)
     }
 
-    /// Creates an empty memtable with an explicit representation, bloom
-    /// sizing (`bloom_bytes` of filter for roughly `expected_entries`
-    /// keys), and bloom prefix length (0 = whole keys only).
-    pub fn with_config(
-        rep: MemtableRep,
-        bloom_bytes: usize,
-        expected_entries: usize,
-        prefix_len: usize,
-    ) -> Self {
+    /// Creates an empty memtable with explicit bloom sizing
+    /// (`bloom_bytes` of filter for roughly `expected_entries` keys) and
+    /// bloom prefix length (0 = whole keys only).
+    pub fn with_config(bloom_bytes: usize, expected_entries: usize, prefix_len: usize) -> Self {
         MemTable {
-            rep: match rep {
-                MemtableRep::BTreeMap => Rep::BTree(RwLock::new(BTreeMap::new())),
-                MemtableRep::SkipList => Rep::Skip(SkipList::new()),
-            },
+            map: RwLock::new(BTreeMap::new()),
             bloom: if bloom_bytes > 0 {
                 Some(MemTableBloom::new(bloom_bytes, expected_entries))
             } else {
@@ -183,43 +149,7 @@ impl MemTable {
             approximate_bytes: AtomicUsize::new(0),
             first_seq: AtomicU64::new(u64::MAX),
             last_seq: AtomicU64::new(0),
-            pending_applies: AtomicUsize::new(0),
         }
-    }
-
-    /// Which representation this memtable uses.
-    pub fn rep_kind(&self) -> MemtableRep {
-        match &self.rep {
-            Rep::BTree(_) => MemtableRep::BTreeMap,
-            Rep::Skip(_) => MemtableRep::SkipList,
-        }
-    }
-
-    /// Whether inserts may run concurrently with each other (and with
-    /// readers) without an external lock. True for the skiplist; the map
-    /// representation serializes writers on its internal `RwLock`, so
-    /// applying commit groups outside the engine lock buys it nothing.
-    pub fn concurrent_apply_safe(&self) -> bool {
-        matches!(self.rep, Rep::Skip(_))
-    }
-
-    /// Registers an apply running outside the engine's state lock. Must
-    /// be called while the state lock is still held (so it cannot race
-    /// with memtable retirement) and paired with [`end_apply`].
-    ///
-    /// [`end_apply`]: MemTable::end_apply
-    pub(crate) fn begin_apply(&self) {
-        self.pending_applies.fetch_add(1, AtomicOrdering::AcqRel);
-    }
-
-    /// Marks an out-of-lock apply finished.
-    pub(crate) fn end_apply(&self) {
-        self.pending_applies.fetch_sub(1, AtomicOrdering::AcqRel);
-    }
-
-    /// Number of out-of-lock applies still in flight.
-    pub(crate) fn applies_in_flight(&self) -> usize {
-        self.pending_applies.load(AtomicOrdering::Acquire)
     }
 
     fn bloom_add(&self, user_key: &[u8]) {
@@ -242,14 +172,7 @@ impl MemTable {
         let ikey = InternalKey::new(user_key, seq, ty);
         let charged = ikey.encoded().len() + value.len() + ENTRY_OVERHEAD;
         self.bloom_add(user_key);
-        match &self.rep {
-            Rep::BTree(map) => {
-                map.write().insert(OrderedKey(ikey.encoded().to_vec()), value.to_vec());
-            }
-            Rep::Skip(list) => {
-                list.insert(ikey.encoded(), value);
-            }
-        }
+        self.map.write().insert(OrderedKey(ikey.encoded().to_vec()), value.to_vec());
         self.note_entry(charged, seq);
     }
 
@@ -257,10 +180,8 @@ impl MemTable {
     /// (`user_key ++ fixed64(seq << 8 | ty)`), borrowed.
     ///
     /// Group commit replays entries straight out of the WAL record
-    /// through this: the skiplist copies both slices into its arena and
-    /// the whole apply is allocation-free, while the map representation
-    /// materializes its owned copies here. The caller must pass a
-    /// well-formed internal key (at least 8 bytes of tag).
+    /// through this. The caller must pass a well-formed internal key (at
+    /// least 8 bytes of tag).
     pub fn apply_encoded(&self, encoded_key: &[u8], value: &[u8]) {
         debug_assert!(encoded_key.len() >= 8, "internal key must carry a tag");
         let tag_at = encoded_key.len() - 8;
@@ -268,14 +189,7 @@ impl MemTable {
         let seq = tag >> 8;
         let charged = encoded_key.len() + value.len() + ENTRY_OVERHEAD;
         self.bloom_add(&encoded_key[..tag_at]);
-        match &self.rep {
-            Rep::BTree(map) => {
-                map.write().insert(OrderedKey(encoded_key.to_vec()), value.to_vec());
-            }
-            Rep::Skip(list) => {
-                list.insert(encoded_key, value);
-            }
-        }
+        self.map.write().insert(OrderedKey(encoded_key.to_vec()), value.to_vec());
         self.note_entry(charged, seq);
     }
 
@@ -289,35 +203,18 @@ impl MemTable {
         let lookup = crate::types::lookup_key(user_key, snapshot);
         // Entries are newest-first per user key; the first one at or
         // below the snapshot decides.
-        match &self.rep {
-            Rep::BTree(map) => {
-                let map = map.read();
-                let start = Bound::Included(OrderedKey(lookup.encoded().to_vec()));
-                match map.range((start, Bound::Unbounded)).next() {
-                    Some((k, v)) => Self::resolve_entry(&k.0, v, user_key),
-                    None => MemTableGet::NotFound,
-                }
-            }
-            Rep::Skip(list) => {
-                let node = list.seek(lookup.encoded());
-                if node.is_null() {
-                    return MemTableGet::NotFound;
-                }
-                // SAFETY: non-null nodes are valid for the list's lifetime.
-                let (k, v) = unsafe { ((*node).key(), (*node).value()) };
-                Self::resolve_entry(k, v, user_key)
-            }
-        }
-    }
-
-    fn resolve_entry(encoded_key: &[u8], value: &[u8], user_key: &[u8]) -> MemTableGet {
-        let ik = InternalKey::decode(encoded_key).expect("memtable keys are valid");
+        let map = self.map.read();
+        let start = Bound::Included(OrderedKey(lookup.encoded().to_vec()));
+        let Some((k, v)) = map.range((start, Bound::Unbounded)).next() else {
+            return MemTableGet::NotFound;
+        };
+        let ik = InternalKey::decode(&k.0).expect("memtable keys are valid");
         if ik.user_key() != user_key {
             return MemTableGet::NotFound;
         }
         match ik.value_type() {
-            ValueType::Value => MemTableGet::Found(value.to_vec()),
-            ValueType::TtlValue => MemTableGet::FoundTtl(value.to_vec()),
+            ValueType::Value => MemTableGet::Found(v.clone()),
+            ValueType::TtlValue => MemTableGet::FoundTtl(v.clone()),
             ValueType::Deletion => MemTableGet::Deleted,
         }
     }
@@ -342,10 +239,7 @@ impl MemTable {
 
     /// Number of entries (including tombstones and shadowed versions).
     pub fn len(&self) -> usize {
-        match &self.rep {
-            Rep::BTree(map) => map.read().len(),
-            Rep::Skip(list) => list.len(),
-        }
+        self.map.read().len()
     }
 
     /// Whether the memtable holds no entries.
@@ -366,47 +260,27 @@ impl MemTable {
 
     /// A stable iteration view over the entries, in internal-key order.
     ///
-    /// For the map representation the view holds the read lock for its
-    /// lifetime; for the skiplist it is lock-free. Used by flush to feed
-    /// the k-way merge.
+    /// The view holds the read lock for its lifetime. Used by flush to
+    /// feed the k-way merge.
     pub fn view(&self) -> MemTableView<'_> {
-        MemTableView(match &self.rep {
-            Rep::BTree(map) => ViewInner::BTree(map.read()),
-            Rep::Skip(list) => ViewInner::Skip(list),
-        })
+        MemTableView(self.map.read())
     }
 
     /// Returns the first entry with internal key >= `target` (or strictly
     /// greater when `exclusive`), as owned `(encoded_key, value)`.
     ///
-    /// This is the re-seek primitive the map-backed scan cursor falls back
-    /// to; skiplist scans step through [`MemTableCursor`] instead.
+    /// This is the re-seek primitive behind [`MemTableCursor`].
     pub fn next_at_or_after(&self, target: &[u8], exclusive: bool) -> Option<(Vec<u8>, Vec<u8>)> {
-        match &self.rep {
-            Rep::BTree(map) => {
-                let bound = if exclusive {
-                    Bound::Excluded(OrderedKey(target.to_vec()))
-                } else {
-                    Bound::Included(OrderedKey(target.to_vec()))
-                };
-                map.read()
-                    .range((bound, Bound::Unbounded))
-                    .next()
-                    .map(|(k, v)| (k.0.clone(), v.clone()))
-            }
-            Rep::Skip(list) => {
-                let mut node = list.seek(target);
-                // SAFETY: non-null nodes are valid for the list's lifetime.
-                if exclusive && !node.is_null() && unsafe { (*node).key() } == target {
-                    node = unsafe { list.next(node) };
-                }
-                if node.is_null() {
-                    None
-                } else {
-                    unsafe { Some(((*node).key().to_vec(), (*node).value().to_vec())) }
-                }
-            }
-        }
+        let bound = if exclusive {
+            Bound::Excluded(OrderedKey(target.to_vec()))
+        } else {
+            Bound::Included(OrderedKey(target.to_vec()))
+        };
+        self.map
+            .read()
+            .range((bound, Bound::Unbounded))
+            .next()
+            .map(|(k, v)| (k.0.clone(), v.clone()))
     }
 
     /// Builds an optional SST-style bloom filter over the distinct user
@@ -439,242 +313,133 @@ impl MemTable {
 impl fmt::Debug for MemTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MemTable")
-            .field("rep", &self.rep_kind())
             .field("len", &self.len())
             .field("approximate_bytes", &self.approximate_bytes.load(AtomicOrdering::Relaxed))
             .finish()
     }
 }
 
-enum ViewInner<'a> {
-    BTree(RwLockReadGuard<'a, BTreeMap<OrderedKey, Vec<u8>>>),
-    Skip(&'a SkipList),
-}
-
 /// A borrowed, ordered view of a memtable's entries; see
 /// [`MemTable::view`].
-pub struct MemTableView<'a>(ViewInner<'a>);
+pub struct MemTableView<'a>(RwLockReadGuard<'a, BTreeMap<OrderedKey, Vec<u8>>>);
 
 impl MemTableView<'_> {
     /// Iterates entries in internal-key order as `(encoded_key, value)`.
-    pub fn iter(&self) -> MemViewIter<'_> {
-        MemViewIter(match &self.0 {
-            ViewInner::BTree(map) => IterInner::BTree(map.iter()),
-            ViewInner::Skip(list) => IterInner::Skip(list.iter()),
-        })
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> + '_ {
+        self.0.iter().map(|(k, v)| (k.0.as_slice(), v.as_slice()))
     }
-}
-
-enum IterInner<'a> {
-    BTree(std::collections::btree_map::Iter<'a, OrderedKey, Vec<u8>>),
-    Skip(SkipIter<'a>),
-}
-
-/// Iterator over a [`MemTableView`].
-pub struct MemViewIter<'a>(IterInner<'a>);
-
-impl<'a> Iterator for MemViewIter<'a> {
-    type Item = (&'a [u8], &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.0 {
-            IterInner::BTree(it) => it.next().map(|(k, v)| (k.0.as_slice(), v.as_slice())),
-            IterInner::Skip(it) => it.next(),
-        }
-    }
-}
-
-enum CursorState {
-    /// Current skiplist node (null = exhausted); valid while the owning
-    /// `Arc<MemTable>` below is alive.
-    Skip(*const Node),
-    /// Owned current entry for the map representation, advanced by
-    /// re-seeking past the held key.
-    BTree(Option<(Vec<u8>, Vec<u8>)>),
 }
 
 /// A stepping cursor over one memtable, positioned at or after a seek
 /// target and advanced entry by entry.
 ///
-/// Over the skiplist this is a true cursor: each step is one atomic load,
-/// no lock, no allocation. Over the map it falls back to a re-seek per
-/// step (the historical behavior). The cursor shares ownership of the
-/// memtable, so it stays valid after the memtable is rotated out of the
-/// active slot or scheduled for flush.
+/// The cursor owns a copy of its current entry and advances by
+/// re-seeking just past it, so it holds no lock between steps. It shares
+/// ownership of the memtable, so it stays valid after the memtable is
+/// rotated out of the active slot or scheduled for flush.
 pub struct MemTableCursor {
     mem: Arc<MemTable>,
-    state: CursorState,
+    cur: Option<(Vec<u8>, Vec<u8>)>,
 }
 
 impl MemTableCursor {
     /// Positions a cursor at the first entry with internal key >=
     /// `target`.
     pub fn seek(mem: Arc<MemTable>, target: &[u8]) -> Self {
-        let state = match &mem.rep {
-            Rep::Skip(list) => CursorState::Skip(list.seek(target)),
-            Rep::BTree(_) => CursorState::BTree(mem.next_at_or_after(target, false)),
-        };
-        MemTableCursor { mem, state }
+        let cur = mem.next_at_or_after(target, false);
+        MemTableCursor { mem, cur }
     }
 
     /// Current internal key, or `None` when exhausted.
     pub fn key(&self) -> Option<&[u8]> {
-        match &self.state {
-            // SAFETY: the node comes from `self.mem`'s list, which `self`
-            // keeps alive; nodes are immutable once published.
-            CursorState::Skip(node) => {
-                (!node.is_null()).then(|| unsafe { (**node).key() })
-            }
-            CursorState::BTree(cur) => cur.as_ref().map(|(k, _)| k.as_slice()),
-        }
+        self.cur.as_ref().map(|(k, _)| k.as_slice())
     }
 
     /// Current value, or `None` when exhausted.
     pub fn value(&self) -> Option<&[u8]> {
-        match &self.state {
-            // SAFETY: as in `key`.
-            CursorState::Skip(node) => {
-                (!node.is_null()).then(|| unsafe { (**node).value() })
-            }
-            CursorState::BTree(cur) => cur.as_ref().map(|(_, v)| v.as_slice()),
-        }
+        self.cur.as_ref().map(|(_, v)| v.as_slice())
     }
 
     /// Advances to the next entry in internal-key order.
     pub fn advance(&mut self) {
-        match &mut self.state {
-            CursorState::Skip(node) => {
-                if !node.is_null() {
-                    let Rep::Skip(list) = &self.mem.rep else {
-                        unreachable!("skip cursor over non-skip memtable")
-                    };
-                    // SAFETY: node is from this list and the list is alive.
-                    *node = unsafe { list.next(*node) };
-                }
-            }
-            CursorState::BTree(cur) => {
-                *cur = match cur.take() {
-                    Some((k, _)) => self.mem.next_at_or_after(&k, true),
-                    None => None,
-                };
-            }
+        if let Some((k, _)) = self.cur.take() {
+            self.cur = self.mem.next_at_or_after(&k, true);
         }
     }
 }
-
-// SAFETY: the raw node pointer is only dereferenced through the list owned
-// by the `Arc<MemTable>` carried alongside it; nodes are immutable once
-// published and live as long as the list.
-unsafe impl Send for MemTableCursor {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both_reps() -> [MemtableRep; 2] {
-        [MemtableRep::BTreeMap, MemtableRep::SkipList]
-    }
-
-    fn mt_with(rep: MemtableRep) -> MemTable {
-        MemTable::with_config(rep, 0, 0, 0)
-    }
-
     #[test]
     fn put_then_get() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"alpha", b"1");
-            mt.add(2, ValueType::Value, b"beta", b"2");
-            assert_eq!(mt.get(b"alpha", 100), MemTableGet::Found(b"1".to_vec()));
-            assert_eq!(mt.get(b"gamma", 100), MemTableGet::NotFound);
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"alpha", b"1");
+        mt.add(2, ValueType::Value, b"beta", b"2");
+        assert_eq!(mt.get(b"alpha", 100), MemTableGet::Found(b"1".to_vec()));
+        assert_eq!(mt.get(b"gamma", 100), MemTableGet::NotFound);
     }
 
     #[test]
     fn newer_version_shadows_older() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"k", b"old");
-            mt.add(5, ValueType::Value, b"k", b"new");
-            assert_eq!(mt.get(b"k", 100), MemTableGet::Found(b"new".to_vec()));
-            // Snapshot between versions sees the old value.
-            assert_eq!(mt.get(b"k", 3), MemTableGet::Found(b"old".to_vec()));
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"k", b"old");
+        mt.add(5, ValueType::Value, b"k", b"new");
+        assert_eq!(mt.get(b"k", 100), MemTableGet::Found(b"new".to_vec()));
+        // Snapshot between versions sees the old value.
+        assert_eq!(mt.get(b"k", 3), MemTableGet::Found(b"old".to_vec()));
     }
 
     #[test]
     fn deletion_is_visible() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"k", b"v");
-            mt.add(2, ValueType::Deletion, b"k", b"");
-            assert_eq!(mt.get(b"k", 100), MemTableGet::Deleted);
-            assert_eq!(mt.get(b"k", 1), MemTableGet::Found(b"v".to_vec()));
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"k", b"v");
+        mt.add(2, ValueType::Deletion, b"k", b"");
+        assert_eq!(mt.get(b"k", 100), MemTableGet::Deleted);
+        assert_eq!(mt.get(b"k", 1), MemTableGet::Found(b"v".to_vec()));
     }
 
     #[test]
     fn snapshot_before_any_version_sees_nothing() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(10, ValueType::Value, b"k", b"v");
-            assert_eq!(mt.get(b"k", 5), MemTableGet::NotFound);
-        }
+        let mt = MemTable::new(0);
+        mt.add(10, ValueType::Value, b"k", b"v");
+        assert_eq!(mt.get(b"k", 5), MemTableGet::NotFound);
     }
 
     #[test]
     fn iteration_is_sorted_by_user_key() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"c", b"");
-            mt.add(2, ValueType::Value, b"a", b"");
-            mt.add(3, ValueType::Value, b"b", b"");
-            let view = mt.view();
-            let keys: Vec<Vec<u8>> = view
-                .iter()
-                .map(|(k, _)| InternalKey::decode(k).unwrap().user_key().to_vec())
-                .collect();
-            assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
-        }
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"c", b"");
+        mt.add(2, ValueType::Value, b"a", b"");
+        mt.add(3, ValueType::Value, b"b", b"");
+        let view = mt.view();
+        let keys: Vec<Vec<u8>> = view
+            .iter()
+            .map(|(k, _)| InternalKey::decode(k).unwrap().user_key().to_vec())
+            .collect();
+        assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
     }
 
     #[test]
     fn memory_usage_grows() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            let before = mt.approximate_memory_usage();
-            mt.add(1, ValueType::Value, b"key", &[0u8; 100]);
-            assert!(mt.approximate_memory_usage() >= before + 100);
-        }
-    }
-
-    #[test]
-    fn both_reps_charge_identical_bytes() {
-        // Flush thresholds must not move when the representation changes.
-        let a = mt_with(MemtableRep::BTreeMap);
-        let b = mt_with(MemtableRep::SkipList);
-        for (i, mt) in [&a, &b].into_iter().enumerate() {
-            let _ = i;
-            for j in 0..50u64 {
-                mt.add(j + 1, ValueType::Value, format!("key-{j:03}").as_bytes(), &[7u8; 33]);
-            }
-        }
-        assert_eq!(a.approximate_memory_usage(), b.approximate_memory_usage());
+        let mt = MemTable::new(0);
+        let before = mt.approximate_memory_usage();
+        mt.add(1, ValueType::Value, b"key", &[0u8; 100]);
+        assert!(mt.approximate_memory_usage() >= before + 100);
     }
 
     #[test]
     fn bloom_filters_absent_keys() {
-        for rep in both_reps() {
-            let mt = MemTable::with_config(rep, 4096, 4096, 0);
-            for i in 0..100 {
-                mt.add(i + 1, ValueType::Value, format!("key-{i}").as_bytes(), b"v");
-            }
-            assert_eq!(mt.get(b"key-42", 1000), MemTableGet::Found(b"v".to_vec()));
-            // Bloom short-circuits most absent lookups; correctness-wise all
-            // must return NotFound.
-            for i in 200..300 {
-                assert_eq!(mt.get(format!("key-{i}").as_bytes(), 1000), MemTableGet::NotFound);
-            }
+        let mt = MemTable::with_config(4096, 4096, 0);
+        for i in 0..100 {
+            mt.add(i + 1, ValueType::Value, format!("key-{i}").as_bytes(), b"v");
+        }
+        assert_eq!(mt.get(b"key-42", 1000), MemTableGet::Found(b"v".to_vec()));
+        // Bloom short-circuits most absent lookups; correctness-wise all
+        // must return NotFound.
+        for i in 200..300 {
+            assert_eq!(mt.get(format!("key-{i}").as_bytes(), 1000), MemTableGet::NotFound);
         }
     }
 
@@ -722,95 +487,69 @@ mod tests {
 
     #[test]
     fn prefix_bloom_rejects_absent_prefixes() {
-        for rep in both_reps() {
-            let mt = MemTable::with_config(rep, 4096, 4096, 4);
-            for i in 0..50 {
-                mt.add(i + 1, ValueType::Value, format!("abc{i:05}").as_bytes(), b"v");
-            }
-            // "abc0..." prefixes are 4 bytes: "abc0", "abc1", ...
-            assert!(mt.may_contain_prefix(b"abc0"));
-            let rejected = (0..100)
-                .filter(|i| !mt.may_contain_prefix(format!("zz{i:02}").as_bytes()))
-                .count();
-            assert!(rejected > 50, "prefix bloom rejected only {rejected}/100");
-            // Wrong-length probes never reject.
-            assert!(mt.may_contain_prefix(b"abc"));
-            // Whole-key gets still work.
-            assert_eq!(mt.get(b"abc00001", 1000), MemTableGet::Found(b"v".to_vec()));
+        let mt = MemTable::with_config(4096, 4096, 4);
+        for i in 0..50 {
+            mt.add(i + 1, ValueType::Value, format!("abc{i:05}").as_bytes(), b"v");
         }
+        // "abc0..." prefixes are 4 bytes: "abc0", "abc1", ...
+        assert!(mt.may_contain_prefix(b"abc0"));
+        let rejected = (0..100)
+            .filter(|i| !mt.may_contain_prefix(format!("zz{i:02}").as_bytes()))
+            .count();
+        assert!(rejected > 50, "prefix bloom rejected only {rejected}/100");
+        // Wrong-length probes never reject.
+        assert!(mt.may_contain_prefix(b"abc"));
+        // Whole-key gets still work.
+        assert_eq!(mt.get(b"abc00001", 1000), MemTableGet::Found(b"v".to_vec()));
     }
 
     #[test]
     fn sequences_tracked() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            assert_eq!(mt.first_sequence(), None);
-            mt.add(7, ValueType::Value, b"a", b"");
-            mt.add(9, ValueType::Value, b"b", b"");
-            assert_eq!(mt.first_sequence(), Some(7));
-            assert_eq!(mt.last_sequence(), 9);
-        }
+        let mt = MemTable::new(0);
+        assert_eq!(mt.first_sequence(), None);
+        mt.add(7, ValueType::Value, b"a", b"");
+        mt.add(9, ValueType::Value, b"b", b"");
+        assert_eq!(mt.first_sequence(), Some(7));
+        assert_eq!(mt.last_sequence(), 9);
     }
 
     #[test]
     fn table_bloom_built_over_distinct_user_keys() {
-        for rep in both_reps() {
-            let mt = mt_with(rep);
-            mt.add(1, ValueType::Value, b"k", b"v1");
-            mt.add(2, ValueType::Value, b"k", b"v2");
-            mt.add(3, ValueType::Value, b"other", b"v");
-            let bloom = mt.build_table_bloom(10.0).unwrap();
-            assert!(bloom.may_contain(b"k"));
-            assert!(bloom.may_contain(b"other"));
-            assert!(mt.build_table_bloom(0.0).is_none());
-        }
-    }
-
-    #[test]
-    fn table_bloom_identical_across_reps() {
-        // The streaming construction must see the same distinct-user-key
-        // sequence from both representations.
-        let a = mt_with(MemtableRep::BTreeMap);
-        let b = mt_with(MemtableRep::SkipList);
-        for mt in [&a, &b] {
-            for i in 0..500u64 {
-                let key = format!("key-{:04}", i % 200);
-                mt.add(i + 1, ValueType::Value, key.as_bytes(), b"v");
-            }
-        }
-        assert_eq!(
-            a.build_table_bloom(10.0).unwrap().encode(),
-            b.build_table_bloom(10.0).unwrap().encode()
-        );
+        let mt = MemTable::new(0);
+        mt.add(1, ValueType::Value, b"k", b"v1");
+        mt.add(2, ValueType::Value, b"k", b"v2");
+        mt.add(3, ValueType::Value, b"other", b"v");
+        let bloom = mt.build_table_bloom(10.0).unwrap();
+        assert!(bloom.may_contain(b"k"));
+        assert!(bloom.may_contain(b"other"));
+        assert!(mt.build_table_bloom(0.0).is_none());
     }
 
     #[test]
     fn cursor_steps_in_order() {
-        for rep in both_reps() {
-            let mt = Arc::new(mt_with(rep));
-            for i in 0..100u64 {
-                mt.add(i + 1, ValueType::Value, format!("k{:03}", 99 - i).as_bytes(), b"v");
-            }
-            let start = crate::types::lookup_key(b"k010", crate::types::MAX_SEQUENCE);
-            let mut cursor = MemTableCursor::seek(Arc::clone(&mt), start.encoded());
-            let mut seen = Vec::new();
-            while let Some(k) = cursor.key() {
-                seen.push(InternalKey::decode(k).unwrap().user_key().to_vec());
-                assert!(cursor.value().is_some());
-                cursor.advance();
-            }
-            assert_eq!(seen.len(), 90);
-            assert_eq!(seen.first().unwrap(), b"k010");
-            assert_eq!(seen.last().unwrap(), b"k099");
-            let mut sorted = seen.clone();
-            sorted.sort();
-            assert_eq!(seen, sorted);
+        let mt = Arc::new(MemTable::new(0));
+        for i in 0..100u64 {
+            mt.add(i + 1, ValueType::Value, format!("k{:03}", 99 - i).as_bytes(), b"v");
         }
+        let start = crate::types::lookup_key(b"k010", crate::types::MAX_SEQUENCE);
+        let mut cursor = MemTableCursor::seek(Arc::clone(&mt), start.encoded());
+        let mut seen = Vec::new();
+        while let Some(k) = cursor.key() {
+            seen.push(InternalKey::decode(k).unwrap().user_key().to_vec());
+            assert!(cursor.value().is_some());
+            cursor.advance();
+        }
+        assert_eq!(seen.len(), 90);
+        assert_eq!(seen.first().unwrap(), b"k010");
+        assert_eq!(seen.last().unwrap(), b"k099");
+        let mut sorted = seen.clone();
+        sorted.sort();
+        assert_eq!(seen, sorted);
     }
 
     #[test]
     fn cursor_survives_concurrent_inserts() {
-        let mt = Arc::new(mt_with(MemtableRep::SkipList));
+        let mt = Arc::new(MemTable::new(0));
         for i in 0..1000u64 {
             mt.add(i + 1, ValueType::Value, format!("k{:06}", i * 2).as_bytes(), b"v");
         }

@@ -103,44 +103,6 @@ impl fmt::Display for CompressionType {
     }
 }
 
-/// Memtable representation (`memtable_factory`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MemtableRep {
-    /// Ordered map behind a reader-writer lock. The historical default:
-    /// single-threaded (sim) runs are byte-identical with it, at the cost
-    /// of serializing concurrent writers and readers.
-    #[default]
-    BTreeMap,
-    /// Concurrent skiplist: lock-free readers, CAS-linked writers, stepping
-    /// cursors. The RocksDB-equivalent choice for real multi-threaded runs.
-    SkipList,
-}
-
-impl MemtableRep {
-    /// Canonical lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MemtableRep::BTreeMap => "btree",
-            MemtableRep::SkipList => "skiplist",
-        }
-    }
-
-    /// Parses RocksDB-style (`SkipListFactory`) or plain names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "btree" | "btreemap" | "btreemapfactory" | "map" => Some(MemtableRep::BTreeMap),
-            "skiplist" | "skip_list" | "skiplistfactory" => Some(MemtableRep::SkipList),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for MemtableRep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// SST index layout (`index_type`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IndexType {
@@ -305,9 +267,6 @@ pub struct Options {
     pub disable_auto_compactions: bool,
     /// Memtable bloom filter size as a fraction of `write_buffer_size`.
     pub memtable_prefix_bloom_size_ratio: f64,
-    /// Memtable representation. Applies to memtables created after the
-    /// change (each memtable snapshots its configuration at creation).
-    pub memtable_factory: MemtableRep,
     /// Fixed prefix length for prefix bloom filters (0 = whole keys only).
     /// Baked into each memtable and SST at build time.
     pub prefix_extractor_len: i64,
@@ -418,7 +377,6 @@ impl Default for Options {
             bottommost_compression: CompressionType::None,
             disable_auto_compactions: false,
             memtable_prefix_bloom_size_ratio: 0.0,
-            memtable_factory: MemtableRep::BTreeMap,
             prefix_extractor_len: 0,
             optimize_filters_for_hits: false,
             soft_pending_compaction_bytes_limit: 64 << 30,
@@ -676,14 +634,6 @@ mod tests {
         assert_eq!(CompressionType::parse("none"), Some(CompressionType::None));
         assert_eq!(CompressionType::parse("ZSTD"), Some(CompressionType::Zstd));
         assert_eq!(CompressionType::parse("gzip"), None);
-    }
-
-    #[test]
-    fn memtable_rep_parsing() {
-        assert_eq!(MemtableRep::parse("SkipListFactory"), Some(MemtableRep::SkipList));
-        assert_eq!(MemtableRep::parse("skiplist"), Some(MemtableRep::SkipList));
-        assert_eq!(MemtableRep::parse("btree"), Some(MemtableRep::BTreeMap));
-        assert_eq!(MemtableRep::parse("vector"), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use crate::error::{Error, Result};
-use crate::options::{CompactionStyle, CompressionType, IndexType, MemtableRep, Options};
+use crate::options::{CompactionStyle, CompressionType, IndexType, Options};
 
 /// The ini-file section an option belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -469,28 +469,6 @@ fn build_registry() -> Vec<OptionMeta> {
             "Disable automatic compactions (manual compaction only)"),
         opt_double!(memtable_prefix_bloom_size_ratio, Cf, (0.0, 0.25), true, true,
             "Memtable bloom filter size as a fraction of write_buffer_size"),
-        // Mutable online: the representation is picked when a fresh
-        // memtable is allocated, so the active memtable keeps its rep
-        // until the next switch and new memtables use the new value.
-        OptionMeta {
-            name: "memtable_factory",
-            aliases: &["memtablerep"],
-            section: Cf,
-            kind: OptionKind::Enum(&["btree", "skiplist"]),
-            range: None,
-            mutable_online: true,
-            protected_by_default: false,
-            performance_relevant: true,
-            description: "Memtable representation: locked btree (deterministic default) or \
-                          concurrent skiplist (lock-free reads, CAS inserts)",
-            get: |o| o.memtable_factory.to_string(),
-            set: |o, v| {
-                o.memtable_factory = MemtableRep::parse(v).ok_or_else(|| {
-                    Error::invalid_argument(format!("memtable_factory={v} is not a memtable rep"))
-                })?;
-                Ok(())
-            },
-        },
         // Mutable online: consulted when filters are built (memtable
         // allocation, table build) — existing filters keep the prefix
         // length they were built with (self-describing in the footer).
@@ -817,8 +795,6 @@ mod tests {
         assert_eq!(opts.compression, CompressionType::Zstd);
         opts.set_by_name("compaction_style", "kCompactionStyleUniversal").unwrap();
         assert_eq!(opts.compaction_style, CompactionStyle::Universal);
-        opts.set_by_name("memtable_factory", "SkipListFactory").unwrap();
-        assert_eq!(opts.memtable_factory, crate::options::MemtableRep::SkipList);
         opts.set_by_name("index_type", "kTwoLevelIndexSearch").unwrap();
         assert_eq!(opts.index_type, crate::options::IndexType::TwoLevel);
     }
@@ -830,11 +806,9 @@ mod tests {
         assert_eq!(opts.prefix_extractor_len, 8);
         opts.set_by_name("metadata_block_size", "16384").unwrap();
         assert_eq!(opts.metadata_block_size, 16384);
-        assert!(opts.set_by_name("memtable_factory", "vector").is_err());
         assert!(opts.set_by_name("index_type", "hash_search").is_err());
         assert!(opts.set_by_name("prefix_extractor_len", "100").is_err());
-        for name in ["memtable_factory", "prefix_extractor_len", "index_type", "metadata_block_size"]
-        {
+        for name in ["prefix_extractor_len", "index_type", "metadata_block_size"] {
             assert!(find_option(name).unwrap().mutable_online, "{name} should be mutable");
         }
     }

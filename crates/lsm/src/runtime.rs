@@ -46,8 +46,7 @@ pub(crate) struct EntrySpan {
 /// first-sequence header, and each operation's key/value position inside
 /// the record is captured as an [`EntrySpan`]. The group leader only
 /// patches the record's sequence header and replays the spans into the
-/// memtable — no per-entry allocation or free anywhere in the commit
-/// path, which matters most for the arena-copying skiplist memtable.
+/// memtable, with no per-entry buffers of its own.
 pub(crate) struct PreparedWrite {
     /// WAL record (batch encoding) with `first_seq = 0` placeholder.
     pub record: Vec<u8>,
@@ -108,8 +107,7 @@ impl PreparedWrite {
     }
 
     /// Replays the batch into `mem`, building each internal key in
-    /// `scratch` (reused across entries, so a warm buffer makes the whole
-    /// group allocation-free on the skiplist representation).
+    /// `scratch` (reused across entries).
     ///
     /// Must run after [`patch_seq`](Self::patch_seq).
     pub fn apply_to(&self, mem: &MemTable, scratch: &mut Vec<u8>) {
@@ -294,26 +292,6 @@ pub(crate) struct Runtime {
     /// than risk acknowledging writes that recovery would drop.
     fatal: Mutex<Option<Error>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Highest sequence whose group has finished its memtable apply (or
-    /// abandoned its reserved range on failure). Groups that apply
-    /// outside the state lock — the concurrent-memtable pipeline — wait
-    /// here for their predecessor so visibility and completion advance
-    /// strictly in sequence order.
-    applied: Mutex<SequenceNumber>,
-    applied_cv: Condvar,
-    /// Batches committed through the pipelined path since the last
-    /// post-commit (switch-trigger) check. Pipelined groups skip the
-    /// second state-lock acquisition while this stays small and the
-    /// memtable is comfortably below its switch threshold.
-    pub pipelined_batches: AtomicU64,
-    /// Whether commit groups may apply to a concurrent memtable outside
-    /// the state lock. The pipeline trades two extra thread wake-ups per
-    /// group for overlapping the next group's WAL append with this
-    /// group's inserts — a win only when the host can actually run both
-    /// at once, so single-core hosts keep the serial path.
-    /// `LSM_PIPELINED_APPLY=1|0` overrides the detection (CI hook, so
-    /// the protocol is exercised even on single-core runners).
-    pipelined_apply: bool,
 }
 
 impl Runtime {
@@ -327,57 +305,7 @@ impl Runtime {
             visible_seq: AtomicU64::new(last_seq),
             fatal: Mutex::new(None),
             workers: Mutex::new(Vec::new()),
-            applied: Mutex::new(last_seq),
-            applied_cv: Condvar::new(),
-            pipelined_batches: AtomicU64::new(0),
-            pipelined_apply: match std::env::var("LSM_PIPELINED_APPLY").ok().as_deref() {
-                Some("1") | Some("true") => true,
-                Some("0") | Some("false") => false,
-                _ => std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2,
-            },
         }
-    }
-
-    /// Whether the pipelined (outside-the-state-lock) memtable apply is
-    /// worth using on this host. See the field docs.
-    pub fn pipelined_apply_enabled(&self) -> bool {
-        self.pipelined_apply
-    }
-
-    /// Blocks until every group before `first_seq` has finished applying,
-    /// then marks `[first_seq, last_seq]` applied and wakes successors.
-    /// With `publish`, the reader-visible watermark is raised inside the
-    /// same critical section, so passing the gate also guarantees every
-    /// predecessor already published — successors may then release their
-    /// own writers without re-checking older groups.
-    ///
-    /// Every group that reserves a sequence range MUST call this exactly
-    /// once before its writers are released, even on failure (a failed
-    /// group publishes nothing; readers simply skip the abandoned range).
-    pub fn advance_applied(
-        &self,
-        first_seq: SequenceNumber,
-        last_seq: SequenceNumber,
-        publish: bool,
-    ) {
-        // With the pipeline globally off every apply happens in commit
-        // order under the state lock, no thread ever waits on the gate,
-        // and the watermark mutex would be pure per-group overhead.
-        if !self.pipelined_apply {
-            if publish {
-                self.publish_visible(last_seq);
-            }
-            return;
-        }
-        let mut applied = self.applied.lock();
-        while *applied != first_seq - 1 {
-            self.applied_cv.wait(&mut applied);
-        }
-        if publish {
-            self.publish_visible(last_seq);
-        }
-        *applied = last_seq;
-        self.applied_cv.notify_all();
     }
 
     /// Largest sequence visible to readers.
