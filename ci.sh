@@ -247,10 +247,13 @@ trap 'rm -rf "$CRASH_DIR" "$SERVE_DIR" "$RETUNE_DIR" "$CL_A" "$CL_AR" "$CL_B" \
      "$YCSB_DIR" "$CKPT_DIR"' EXIT
 rm -f /tmp/ci-ckpt.txt
 
-echo "==> determinism gate: repro table5 must be byte-identical run-to-run"
-./target/release/repro table5 > /tmp/ci-table5-a.txt
-./target/release/repro table5 > /tmp/ci-table5-b.txt
-diff /tmp/ci-table5-a.txt /tmp/ci-table5-b.txt
+echo "==> determinism gate: repro table5 (stdout + stderr) must match results/table5.golden.txt"
+# stderr carries the sim throughput line (default vs tuned ops/s), so
+# both streams are compared, on each of two runs.
+./target/release/repro table5 > /tmp/ci-table5-a.txt 2>&1
+./target/release/repro table5 > /tmp/ci-table5-b.txt 2>&1
+diff results/table5.golden.txt /tmp/ci-table5-a.txt
+diff results/table5.golden.txt /tmp/ci-table5-b.txt
 rm -f /tmp/ci-table5-a.txt /tmp/ci-table5-b.txt
 
 echo "CI OK"

@@ -14,7 +14,7 @@ use crate::compaction::picker::{CompactionInputs, CompactionReason};
 use crate::error::Result;
 use crate::filter::{FilterContext, FilterDecision};
 use crate::flush::sst_file_name;
-use crate::sstable::block::Block;
+use crate::sstable::block::{Block, OwnedBlockIter};
 use crate::sstable::table::{BlockHandle, FinishedTable, TableBuilder, TableConfig, TableReader};
 use crate::types::{internal_key_cmp, FileNumber, ValueType};
 use crate::version::{FileMetadata, Version};
@@ -37,13 +37,14 @@ pub struct CompactionJobOutput {
     pub compression_cpu: SimDuration,
 }
 
-/// A cursor over one input table, decoding one block at a time.
+/// A cursor over one input table. Each block is parsed once and walked
+/// in place, so the merge reads entries without copying them.
 struct TableCursor {
     reader: TableReader,
     handles: Vec<BlockHandle>,
     next_block: usize,
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    pos: usize,
+    /// Positioned at the current entry; `None` once the table is done.
+    iter: Option<OwnedBlockIter>,
 }
 
 impl TableCursor {
@@ -54,36 +55,36 @@ impl TableCursor {
             reader,
             handles,
             next_block: 0,
-            entries: Vec::new(),
-            pos: 0,
+            iter: None,
         };
         c.load_next_block()?;
         Ok(c)
     }
 
     fn load_next_block(&mut self) -> Result<()> {
-        self.entries.clear();
-        self.pos = 0;
-        while self.entries.is_empty() && self.next_block < self.handles.len() {
+        self.iter = None;
+        while self.next_block < self.handles.len() {
             let fetch = self.reader.read_block(self.handles[self.next_block])?;
             self.next_block += 1;
-            let block = Block::parse(fetch.data)?;
-            let mut it = block.iter();
-            while it.advance()? {
-                self.entries.push((it.key().to_vec(), it.value().to_vec()));
+            let mut it = OwnedBlockIter::new(Arc::new(Block::parse(fetch.data)?));
+            if it.advance()? {
+                self.iter = Some(it);
+                break;
             }
         }
         Ok(())
     }
 
-    fn peek(&self) -> Option<&(Vec<u8>, Vec<u8>)> {
-        self.entries.get(self.pos)
+    /// The current entry's internal key and value.
+    fn entry(&self) -> Option<(&[u8], &[u8])> {
+        self.iter.as_ref().map(|it| (it.key(), it.value()))
     }
 
     fn advance(&mut self) -> Result<()> {
-        self.pos += 1;
-        if self.pos >= self.entries.len() {
-            self.load_next_block()?;
+        if let Some(it) = self.iter.as_mut() {
+            if !it.advance()? {
+                self.load_next_block()?;
+            }
         }
         Ok(())
     }
@@ -164,38 +165,33 @@ pub fn run_compaction(
 
     loop {
         // Find the cursor with the smallest current internal key.
-        let mut best: Option<usize> = None;
+        let mut best: Option<(usize, &[u8])> = None;
         for (i, c) in cursors.iter().enumerate() {
-            if let Some((k, _)) = c.peek() {
+            if let Some((k, _)) = c.entry() {
                 match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let (bk, _) = cursors[b].peek().expect("best cursor valid");
-                        if internal_key_cmp(k, bk) == Ordering::Less {
-                            best = Some(i);
-                        }
-                    }
+                    Some((_, bk)) if internal_key_cmp(k, bk) != Ordering::Less => {}
+                    _ => best = Some((i, k)),
                 }
             }
         }
-        let Some(idx) = best else { break };
-        let (mut key, mut value) = cursors[idx].peek().expect("peeked").clone();
-        cursors[idx].advance()?;
+        let Some((idx, _)) = best else { break };
+        let (key, value) = cursors[idx].entry().expect("best cursor valid");
         out.entries_read += 1;
 
+        let user_key = &key[..key.len() - 8];
         let tag = u64::from_le_bytes(key[key.len() - 8..].try_into().expect("8-byte tag"));
         let seq = tag >> 8;
-        if last_user_key.as_deref() == Some(&key[..key.len() - 8]) {
+        // Whether the entry is written, and whether as a tombstone.
+        let mut keep = true;
+        let mut to_tombstone = false;
+        if last_user_key.as_deref() == Some(user_key) {
             // Shadowed older version: survives only while some pinned
             // snapshot still resolves to it (prev_seq holds the
             // next-newer version's sequence).
-            let keep = ctx.pin_in(seq, prev_seq);
+            keep = ctx.pin_in(seq, prev_seq);
             prev_seq = seq;
-            if !keep {
-                continue;
-            }
         } else {
-            last_user_key = Some(key[..key.len() - 8].to_vec());
+            last_user_key = Some(user_key.to_vec());
             prev_seq = seq;
 
             let is_deletion = (tag & 0xff) == ValueType::Deletion as u64;
@@ -204,48 +200,54 @@ pub fn run_compaction(
                 // but only once every pinned snapshot already sees the
                 // deletion — a retained older version would otherwise be
                 // resurrected for unpinned readers.
-                if bottommost && ctx.visible_to_all_pins(seq) {
-                    continue;
-                }
+                keep = !(bottommost && ctx.visible_to_all_pins(seq));
             } else if let Some(f) = ctx.filter.as_deref() {
                 let ty = ValueType::from_u8((tag & 0xff) as u8);
-                if ty.is_some_and(ValueType::is_value) && ctx.unpinned(seq) {
-                    let decision = {
-                        let user_key = &key[..key.len() - 8];
-                        f.filter(user_key, ty.expect("checked"), &value)
-                    };
-                    if decision == FilterDecision::Remove {
-                        if bottommost && ctx.visible_to_all_pins(seq) {
-                            continue; // nothing deeper, no pins: drop outright
-                        }
-                        // Convert in place to a tombstone so older
-                        // versions in deeper levels stay shadowed.
-                        let n = key.len();
-                        key[n - 8..].copy_from_slice(
-                            &((seq << 8) | ValueType::Deletion as u64).to_le_bytes(),
-                        );
-                        value.clear();
+                if ty.is_some_and(ValueType::is_value)
+                    && ctx.unpinned(seq)
+                    && f.filter(user_key, ty.expect("checked"), value) == FilterDecision::Remove
+                {
+                    if bottommost && ctx.visible_to_all_pins(seq) {
+                        keep = false; // nothing deeper, no pins: drop outright
+                    } else {
+                        // Rewrite as a tombstone so older versions in
+                        // deeper levels stay shadowed.
+                        to_tombstone = true;
                     }
                 }
             }
         }
 
-        if builder.is_none() {
-            let number = alloc_file();
-            let file = vfs.create(&sst_file_name(number))?;
-            builder = Some((number, TableBuilder::new(file, table_config.clone())));
-        }
-        let (_, b) = builder.as_mut().expect("builder exists");
-        b.add(&key, &value)?;
-        out.entries_written += 1;
+        if keep {
+            let tombstone;
+            let (key, value) = if to_tombstone {
+                let mut k = key.to_vec();
+                let n = k.len();
+                k[n - 8..]
+                    .copy_from_slice(&((seq << 8) | ValueType::Deletion as u64).to_le_bytes());
+                tombstone = k;
+                (tombstone.as_slice(), &[][..])
+            } else {
+                (key, value)
+            };
+            if builder.is_none() {
+                let number = alloc_file();
+                let file = vfs.create(&sst_file_name(number))?;
+                builder = Some((number, TableBuilder::new(file, table_config.clone())));
+            }
+            let (_, b) = builder.as_mut().expect("builder exists");
+            b.add(key, value)?;
+            out.entries_written += 1;
 
-        if b.raw_bytes() >= target_file_size {
-            let (number, b) = builder.take().expect("builder exists");
-            let finished = b.finish()?;
-            out.bytes_written += finished.file_size;
-            out.compression_cpu += finished.compression_cpu;
-            out.files.push((number, finished));
+            if b.raw_bytes() >= target_file_size {
+                let (number, b) = builder.take().expect("builder exists");
+                let finished = b.finish()?;
+                out.bytes_written += finished.file_size;
+                out.compression_cpu += finished.compression_cpu;
+                out.files.push((number, finished));
+            }
         }
+        cursors[idx].advance()?;
     }
 
     if let Some((number, b)) = builder.take() {

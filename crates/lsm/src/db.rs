@@ -18,8 +18,14 @@
 //! `max_background_jobs`, and reads traverse immutable snapshots
 //! (`Arc`ed memtables and versions) without holding the state mutex for
 //! the lookup. The mode is selected once at [`Db::builder`] from the
-//! environment's clock; simulation behavior is byte-identical to before
-//! the runtime existed.
+//! environment's clock.
+//!
+//! Both modes run every flush, compaction and FIFO drop through the same
+//! claim -> build -> install steps (`claim_flush`/`claim_compaction`,
+//! `DbInner::build`, `DbInner::install`). Only the timing differs: sim
+//! mode builds at once and queues the install at the cost model's
+//! completion instant, real mode builds on a worker thread and installs
+//! when the build returns.
 
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Weak};
@@ -31,11 +37,12 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use crate::batch::WriteBatch;
 use crate::cache::{BlockCache, BlockKey, CacheStats, TableCache};
 use crate::compaction::{
-    level_targets, pending_compaction_bytes, pick_compaction, run_compaction, CompactionPick,
+    level_targets, pending_compaction_bytes, pick_compaction, run_compaction, CompactionJobOutput,
+    CompactionPick,
 };
 use crate::error::{Error, Result};
 use crate::filter::{split_ttl_value, ttl_expired, FilterContext, TtlFilter};
-use crate::flush::{build_l0_table, sst_file_name};
+use crate::flush::{build_l0_table, sst_file_name, FlushOutput};
 use crate::memtable::{MemTable, MemTableCursor, MemTableGet};
 use crate::options::{ini, Options};
 use crate::listener::{
@@ -47,7 +54,7 @@ use crate::sstable::compress::decompress_cpu_cost;
 use crate::sstable::table::{FinishedTable, TableConfig, TableReader};
 use crate::stats::{HistogramKind, Statistics, Ticker, TickerSnapshot};
 use crate::version::CompactionLevelStats;
-use crate::types::{internal_key_cmp, FileNumber, InternalKey, SequenceNumber, ValueType};
+use crate::types::{internal_key_cmp, FileNumber, SequenceNumber, ValueType};
 use crate::version::{FileMetadata, Version, VersionEdit};
 use crate::vfs::{MemVfs, NamespaceVfs, Vfs};
 use crate::wal::{replay_wal, WalWriter};
@@ -169,31 +176,21 @@ impl Default for CostModel {
 // Background events
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-#[allow(clippy::enum_variant_names)] // the shared "Done" suffix is the point
-enum EventKind {
-    FlushDone {
-        file_number: FileNumber,
-        finished: FinishedTable,
-        mems_consumed: usize,
-    },
-    CompactionDone {
-        inputs: Vec<(usize, Arc<FileMetadata>)>,
-        outputs: Vec<(FileNumber, FinishedTable)>,
-        output_level: usize,
-        bytes_read: u64,
-        keys_dropped: u64,
-    },
-    FifoDropDone {
-        files: Vec<Arc<FileMetadata>>,
-    },
-}
-
-#[derive(Debug)]
+/// A built background job queued until the instant the cost model says
+/// it completes; [`DbInner::pump_events`] installs it then.
 struct Event {
     at: SimTime,
     seq: u64,
-    kind: EventKind,
+    job: BuiltJob,
+}
+
+impl std::fmt::Debug for Event {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Event")
+            .field("at", &self.at)
+            .field("seq", &self.seq)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for Event {
@@ -1525,38 +1522,11 @@ impl Db {
     pub fn get_opt(&self, ropts: &ReadOptions, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let inner = &*self.inner;
         let started = inner.env.clock().now();
-        let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
-
-        let mut cpu = inner.cost.get_base_cpu + inner.cost.memtable_probe_cpu;
-        let mut found = inner.probe_memtable(&mem, key, snapshot);
-        if found.is_some() {
-            inner.stats.tickers().inc(Ticker::MemtableHit);
-        } else {
-            found = imm.iter().find_map(|m| {
-                cpu += inner.cost.memtable_probe_cpu;
-                inner.probe_memtable(m, key, snapshot)
-            });
-        }
-        if found.is_none() {
-            inner.stats.tickers().inc(Ticker::MemtableMiss);
-            found = inner.search_tables(&version, key, snapshot, ropts, &mut cpu)?;
-        }
-        inner.env.clock().advance(cpu.mul_f64(inner.read_cost_factor()));
-
-        inner.stats.tickers().inc(Ticker::KeysRead);
+        let found = self.read_keys(ropts, &[key])?.pop().flatten();
         inner
             .stats
             .record(HistogramKind::DbGet, inner.env.clock().now().saturating_since(started));
-        match found {
-            Some(Some(v)) => {
-                inner.stats.tickers().inc(Ticker::GetHit);
-                Ok(Some(v))
-            }
-            _ => {
-                inner.stats.tickers().inc(Ticker::GetMiss);
-                Ok(None)
-            }
-        }
+        Ok(found)
     }
 
     /// Reads the newest values for a batch of keys in one pass.
@@ -1595,6 +1565,28 @@ impl Db {
             return Ok(Vec::new());
         }
         let started = inner.env.clock().now();
+        let values = self.read_keys(ropts, keys)?;
+        let n = keys.len() as u64;
+        inner.stats.tickers().add(Ticker::MultiGetKeysRead, n);
+        inner.stats.tickers().inc(Ticker::MultiGetBatches);
+        inner.stats.record(
+            HistogramKind::DbMultiGet,
+            inner.env.clock().now().saturating_since(started),
+        );
+        Ok(values)
+    }
+
+    /// The lookup behind [`get_opt`](Self::get_opt) (one key) and
+    /// [`multi_get_opt`](Self::multi_get_opt): one read view, one
+    /// base-CPU charge, memtables probed newest first, then one batched
+    /// table search. Counts `KeysRead` and the per-key hit/miss tickers;
+    /// the callers record their own latency histogram.
+    fn read_keys<K: AsRef<[u8]>>(
+        &self,
+        ropts: &ReadOptions,
+        keys: &[K],
+    ) -> Result<Vec<Option<Vec<u8>>>> {
+        let inner = &*self.inner;
         let ReadView { mem, imm, version, snapshot } = inner.read_view(ropts)?;
 
         // The per-op base CPU is paid once for the whole batch; that is
@@ -1649,14 +1641,7 @@ impl Db {
 
         inner.env.clock().advance(cpu.mul_f64(inner.read_cost_factor()));
 
-        let n = keys.len() as u64;
-        inner.stats.tickers().add(Ticker::KeysRead, n);
-        inner.stats.tickers().add(Ticker::MultiGetKeysRead, n);
-        inner.stats.tickers().inc(Ticker::MultiGetBatches);
-        inner.stats.record(
-            HistogramKind::DbMultiGet,
-            inner.env.clock().now().saturating_since(started),
-        );
+        inner.stats.tickers().add(Ticker::KeysRead, keys.len() as u64);
         Ok(results
             .into_iter()
             .map(|r| {
@@ -1806,38 +1791,15 @@ impl Db {
     /// Propagates flush I/O errors.
     pub fn flush(&self) -> Result<()> {
         let inner = &*self.inner;
-        if let Some(rt) = &inner.runtime {
-            let mut state = inner.state.lock();
-            if !state.mem.is_empty() {
-                inner.switch_memtable(&mut state)?;
-            }
-            loop {
-                if let Some(e) = rt.fatal_error() {
-                    return Err(e);
-                }
-                if state.imm.is_empty() && state.running_flushes == 0 {
-                    return Ok(());
-                }
-                rt.bg.kick();
-                rt.done_cv.wait_for(&mut state, REAL_WAIT_SLICE);
-            }
-        }
         let mut state = inner.state.lock();
         if !state.mem.is_empty() {
             inner.switch_memtable(&mut state)?;
         }
-        loop {
-            let now = inner.env.clock().now();
-            inner.pump_events(&mut state, now)?;
-            inner.maybe_schedule_flush(&mut state, now)?;
-            if state.imm.is_empty() && state.running_flushes == 0 {
-                return Ok(());
-            }
-            let Some(next) = state.events.peek().map(|e| e.at) else {
-                return Ok(());
-            };
-            inner.env.clock().advance_to(next);
-        }
+        inner.wait_until(
+            &mut state,
+            |state, now| inner.maybe_schedule_flush(state, now),
+            |state| state.imm.is_empty() && state.running_flushes == 0,
+        )
     }
 
     /// Runs compactions until the tree is quiescent (no picks pending).
@@ -1848,40 +1810,18 @@ impl Db {
     pub fn compact_all(&self) -> Result<()> {
         self.flush()?;
         let inner = &*self.inner;
-        if let Some(rt) = &inner.runtime {
-            let mut state = inner.state.lock();
-            loop {
-                if let Some(e) = rt.fatal_error() {
-                    return Err(e);
-                }
-                if state.running_compactions == 0
+        let mut state = inner.state.lock();
+        inner.wait_until(
+            &mut state,
+            |state, now| inner.maybe_schedule_compaction(state, now),
+            |state| {
+                state.running_compactions == 0
                     && state.running_flushes == 0
                     && state.imm.is_empty()
                     && (inner.opts().disable_auto_compactions
                         || pick_compaction(&inner.opts(), &state.version).is_none())
-                {
-                    return Ok(());
-                }
-                rt.bg.kick();
-                rt.done_cv.wait_for(&mut state, REAL_WAIT_SLICE);
-            }
-        }
-        let mut state = inner.state.lock();
-        loop {
-            let now = inner.env.clock().now();
-            inner.pump_events(&mut state, now)?;
-            inner.maybe_schedule_compaction(&mut state, now)?;
-            if state.running_compactions == 0 && state.running_flushes == 0 {
-                let quiet = pick_compaction(&inner.opts(), &state.version).is_none();
-                if quiet {
-                    return Ok(());
-                }
-            }
-            let Some(next) = state.events.peek().map(|e| e.at) else {
-                return Ok(());
-            };
-            inner.env.clock().advance_to(next);
-        }
+            },
+        )
     }
 
     /// Compacts every file overlapping the user-key range `[start, end]`
@@ -1899,61 +1839,37 @@ impl Db {
         // at the bottom (RocksDB's bottommost-files pass). A single pass
         // guarantees termination.
         let mut rewrite_done = false;
-        if let Some(rt) = &inner.runtime {
-            // Manual compaction runs on the calling thread, like
-            // RocksDB's CompactRange; automatic jobs keep their workers.
-            loop {
-                let mut state = inner.state.lock();
-                if let Some(e) = rt.fatal_error() {
-                    return Err(e);
-                }
-                if state.running_compactions > 0 || state.running_flushes > 0 {
-                    rt.done_cv.wait_for(&mut state, REAL_WAIT_SLICE);
-                    continue;
-                }
-                let version = Arc::clone(&state.version);
-                let c = match pick_range_compaction(&version, start, end) {
-                    Some(c) => c,
-                    None if !rewrite_done => {
-                        rewrite_done = true;
-                        match pick_bottommost_rewrite(&version, start, end) {
-                            Some(c) => c,
-                            None => return Ok(()),
-                        }
-                    }
-                    None => return Ok(()),
-                };
-                let job = inner.real_claim_merge(&mut state, c);
-                drop(state);
-                inner.real_run_merge(rt, job)?;
-            }
-        }
         let mut state = inner.state.lock();
         loop {
-            let now = inner.env.clock().now();
-            inner.pump_events(&mut state, now)?;
-            if state.running_compactions > 0 || state.running_flushes > 0 {
-                let Some(next) = state.events.peek().map(|e| e.at) else {
-                    break;
-                };
-                inner.env.clock().advance_to(next);
-                continue;
-            }
-            let version = Arc::clone(&state.version);
-            let c = match pick_range_compaction(&version, start, end) {
+            // One manual job at a time, once background work has drained.
+            inner.wait_until(
+                &mut state,
+                |_, _| Ok(()),
+                |state| state.running_compactions == 0 && state.running_flushes == 0,
+            )?;
+            let c = match pick_range_compaction(&state.version, start, end) {
                 Some(c) => c,
                 None if !rewrite_done => {
                     rewrite_done = true;
-                    match pick_bottommost_rewrite(&version, start, end) {
+                    match pick_bottommost_rewrite(&state.version, start, end) {
                         Some(c) => c,
                         None => return Ok(()),
                     }
                 }
                 None => return Ok(()),
             };
-            inner.schedule_merge(&mut state, now, c)?;
+            let job = inner.claim_compaction(&mut state, CompactionPick::Merge(c));
+            if inner.runtime.is_some() {
+                // Manual compaction runs on the calling thread, like
+                // RocksDB's CompactRange; automatic jobs keep their workers.
+                drop(state);
+                inner.run_job(job)?;
+                state = inner.state.lock();
+            } else {
+                let now = inner.env.clock().now();
+                inner.schedule_job(&mut state, now, job)?;
+            }
         }
-        Ok(())
     }
 
     /// Takes an online checkpoint: a point-in-time, openable copy of the
@@ -2043,32 +1959,16 @@ impl Db {
     /// Propagates background job errors.
     pub fn wait_background_idle(&self) -> Result<()> {
         let inner = &*self.inner;
-        if let Some(rt) = &inner.runtime {
-            let mut state = inner.state.lock();
-            loop {
-                if let Some(e) = rt.fatal_error() {
-                    return Err(e);
-                }
-                if state.running_flushes == 0
-                    && state.running_compactions == 0
-                    && !inner.has_claimable_work(&state)
-                {
-                    return Ok(());
-                }
-                rt.bg.kick();
-                rt.done_cv.wait_for(&mut state, REAL_WAIT_SLICE);
-            }
-        }
         let mut state = inner.state.lock();
-        loop {
-            let now = inner.env.clock().now();
-            inner.pump_events(&mut state, now)?;
-            if state.events.is_empty() {
-                return Ok(());
-            }
-            let next = state.events.peek().expect("non-empty").at;
-            inner.env.clock().advance_to(next);
-        }
+        inner.wait_until(
+            &mut state,
+            |_, _| Ok(()),
+            |state| {
+                state.running_flushes == 0
+                    && state.running_compactions == 0
+                    && !inner.has_claimable_work(state)
+            },
+        )
     }
 
     /// The write regime the controller would choose for a write issued
@@ -2393,27 +2293,62 @@ fn background_worker(db: Weak<DbInner>, bg: Arc<BgShared>) {
     }
 }
 
-/// A background job claimed under the state lock, executed unlocked.
-enum BgJob {
-    Flush {
-        file_number: FileNumber,
-        mems: Vec<Arc<MemTable>>,
-    },
+/// A background job claimed under the state lock: its inputs are marked
+/// (memtable `flushing` flags, `being_compacted`) so no other claim can
+/// take them, and its output parameters are frozen, so the build can run
+/// with the lock released.
+enum Job {
+    Flush(FlushJob),
     Merge(MergeJob),
-    Drop {
-        files: Vec<Arc<FileMetadata>>,
-    },
+    /// FIFO: delete these L0 files outright.
+    Drop(Vec<Arc<FileMetadata>>),
 }
 
-/// A claimed merging compaction with its parameters frozen at claim time.
+/// A claimed flush of one or more immutable memtables into one L0 table.
+struct FlushJob {
+    file_number: FileNumber,
+    mems: Vec<Arc<MemTable>>,
+    config: TableConfig,
+    ctx: FilterContext,
+}
+
+/// A claimed merging compaction.
 struct MergeJob {
     inputs: Vec<(usize, Arc<FileMetadata>)>,
     output_level: usize,
     bottommost: bool,
     target_file_size: u64,
     config: TableConfig,
-    /// Filter + snapshot pins frozen at claim time.
+    /// Filter + snapshot pins.
     ctx: FilterContext,
+}
+
+/// A job whose output files are written, waiting to be installed.
+enum BuiltJob {
+    Flush(FlushJob, FlushOutput),
+    Merge(MergeJob, CompactionJobOutput),
+    Drop(Vec<Arc<FileMetadata>>),
+}
+
+impl BuiltJob {
+    /// The histogram that times this kind of job (FIFO drops are untimed).
+    fn histogram(&self) -> Option<HistogramKind> {
+        match self {
+            BuiltJob::Flush(..) => Some(HistogramKind::FlushTime),
+            BuiltJob::Merge(..) => Some(HistogramKind::CompactionTime),
+            BuiltJob::Drop(_) => None,
+        }
+    }
+}
+
+fn table_metadata(number: FileNumber, table: &FinishedTable) -> Arc<FileMetadata> {
+    Arc::new(FileMetadata::new(
+        number,
+        table.file_size,
+        table.smallest.clone(),
+        table.largest.clone(),
+        table.properties.num_entries,
+    ))
 }
 
 impl DbState {
@@ -2812,6 +2747,363 @@ impl DbInner {
     }
 
     // -----------------------------------------------------------------
+    // Background jobs: claim -> build -> install, in both modes
+    // -----------------------------------------------------------------
+
+    /// The memtables the next flush takes: the oldest
+    /// `min_write_buffer_number_to_merge` not already flushing, once that
+    /// many wait or the write path is blocked on memtable count. `None`
+    /// when every flush slot is busy or nothing qualifies.
+    fn pick_flush(&self, state: &DbState) -> Option<Vec<Arc<MemTable>>> {
+        let opts = self.opts();
+        if state.running_flushes >= opts.effective_max_flushes() {
+            return None;
+        }
+        let min_merge = opts.min_write_buffer_number_to_merge.max(1) as usize;
+        let waiting = state.imm.iter().filter(|e| !e.flushing);
+        let n = waiting.clone().count();
+        // Flush when enough memtables accumulated, or when the write path
+        // is blocked on memtable count (can't wait for more).
+        let forced = state.imm.len() + 1 > opts.max_write_buffer_number as usize;
+        if n == 0 || (n < min_merge && !forced) {
+            return None;
+        }
+        Some(waiting.take(min_merge).map(|e| Arc::clone(&e.mem)).collect())
+    }
+
+    /// Claims the next flush, if one is due.
+    fn claim_flush(&self, state: &mut DbState) -> Option<Job> {
+        let mems = self.pick_flush(state)?;
+        for entry in state.imm.iter_mut() {
+            if mems.iter().any(|m| Arc::ptr_eq(m, &entry.mem)) {
+                entry.flushing = true;
+            }
+        }
+        state.running_flushes += 1;
+        Some(Job::Flush(FlushJob {
+            file_number: self.alloc_file_number(state),
+            mems,
+            config: self.table_config(),
+            ctx: self.filter_context(),
+        }))
+    }
+
+    /// The next automatic compaction, when auto compactions are on and a
+    /// compaction slot is free.
+    fn pick_auto_compaction(&self, state: &DbState) -> Option<CompactionPick> {
+        let opts = self.opts();
+        if opts.disable_auto_compactions
+            || state.running_compactions >= opts.effective_max_compactions()
+        {
+            return None;
+        }
+        pick_compaction(&opts, &state.version)
+    }
+
+    /// Claims a picked compaction (automatic or manual).
+    fn claim_compaction(&self, state: &mut DbState, pick: CompactionPick) -> Job {
+        state.running_compactions += 1;
+        let c = match pick {
+            CompactionPick::Drop { files, .. } => {
+                for f in &files {
+                    f.set_being_compacted(true);
+                }
+                return Job::Drop(files);
+            }
+            CompactionPick::Merge(c) => c,
+        };
+        for (_, f) in &c.inputs {
+            f.set_being_compacted(true);
+        }
+        let opts = self.opts();
+        let bottommost = crate::compaction::can_drop_tombstones(&state.version, &c);
+        let target_file_size = opts.target_file_size_base.max(64 << 10)
+            * (opts.target_file_size_multiplier.max(1) as u64)
+                .pow(c.output_level.saturating_sub(1) as u32);
+        let config = if bottommost {
+            self.bottom_table_config()
+        } else {
+            self.table_config()
+        };
+        Job::Merge(MergeJob {
+            inputs: c.inputs,
+            output_level: c.output_level,
+            bottommost,
+            target_file_size,
+            config,
+            ctx: self.filter_context(),
+        })
+    }
+
+    /// Claims the next automatic compaction, if one is due.
+    fn claim_auto_compaction(&self, state: &mut DbState) -> Option<Job> {
+        let pick = self.pick_auto_compaction(state)?;
+        Some(self.claim_compaction(state, pick))
+    }
+
+    /// Claims the next job a background slot should run: a flush first
+    /// (it relieves write stalls), then an automatic compaction.
+    fn claim_job(&self, state: &mut DbState) -> Option<Job> {
+        self.claim_flush(state)
+            .or_else(|| self.claim_auto_compaction(state))
+    }
+
+    /// Whether a job could be claimed right now (used by idle waits).
+    fn has_claimable_work(&self, state: &DbState) -> bool {
+        self.pick_flush(state).is_some() || self.pick_auto_compaction(state).is_some()
+    }
+
+    /// Runs `f` on the state: the caller's, when it already holds the
+    /// lock (sim mode), or under a short lock of its own (real mode).
+    fn with_state<R>(
+        &self,
+        held: &mut Option<&mut DbState>,
+        f: impl FnOnce(&mut DbState) -> R,
+    ) -> R {
+        match held {
+            Some(state) => f(state),
+            None => f(&mut self.state.lock()),
+        }
+    }
+
+    /// Writes a claimed job's output files and records the job's tickers
+    /// and per-level I/O. On failure the claim is released (by pointer
+    /// for memtables), so the same work can be claimed again.
+    fn build(&self, job: Job, mut held: Option<&mut DbState>) -> Result<BuiltJob> {
+        match job {
+            Job::Flush(job) => {
+                let built = build_l0_table(
+                    self.vfs.as_ref(),
+                    job.file_number,
+                    &job.mems,
+                    job.config.clone(),
+                    &job.ctx,
+                );
+                match built {
+                    Ok(output) => {
+                        let size = output.table.file_size;
+                        self.stats.tickers().inc(Ticker::FlushJobs);
+                        self.stats.tickers().add(Ticker::FlushBytesWritten, size);
+                        self.stats.add_level_io(0, 0, size, output.entries_dropped);
+                        Ok(BuiltJob::Flush(job, output))
+                    }
+                    Err(e) => {
+                        let _ = self.vfs.delete(&sst_file_name(job.file_number));
+                        self.with_state(&mut held, |state| {
+                            for entry in state.imm.iter_mut() {
+                                if job.mems.iter().any(|m| Arc::ptr_eq(m, &entry.mem)) {
+                                    entry.flushing = false;
+                                }
+                            }
+                            state.running_flushes -= 1;
+                        });
+                        Err(e)
+                    }
+                }
+            }
+            Job::Merge(job) => {
+                let files: Vec<Arc<FileMetadata>> =
+                    job.inputs.iter().map(|(_, f)| Arc::clone(f)).collect();
+                let built = run_compaction(
+                    self.vfs.as_ref(),
+                    &files,
+                    job.bottommost,
+                    job.target_file_size,
+                    &job.config,
+                    &job.ctx,
+                    || self.with_state(&mut held, |state| self.alloc_file_number(state)),
+                );
+                match built {
+                    Ok(output) => {
+                        let keys_dropped = output.entries_read - output.entries_written;
+                        let tickers = self.stats.tickers();
+                        tickers.inc(Ticker::CompactionJobs);
+                        tickers.add(Ticker::CompactionBytesRead, output.bytes_read);
+                        tickers.add(Ticker::CompactionBytesWritten, output.bytes_written);
+                        tickers.add(Ticker::CompactionKeyDropped, keys_dropped);
+                        self.stats.add_level_io(
+                            job.output_level,
+                            output.bytes_read,
+                            output.bytes_written,
+                            keys_dropped,
+                        );
+                        Ok(BuiltJob::Merge(job, output))
+                    }
+                    Err(e) => {
+                        self.with_state(&mut held, |state| {
+                            for (_, f) in &job.inputs {
+                                f.set_being_compacted(false);
+                            }
+                            state.running_compactions -= 1;
+                        });
+                        Err(e)
+                    }
+                }
+            }
+            Job::Drop(files) => Ok(BuiltJob::Drop(files)),
+        }
+    }
+
+    /// Installs a built job: logs its version edit and applies it,
+    /// garbage-collects WALs and drops the flushed memtables (flush),
+    /// retires the inputs (compaction), then updates the counters and
+    /// notifies listeners.
+    fn install(&self, state: &mut DbState, built: BuiltJob) -> Result<()> {
+        match built {
+            BuiltJob::Flush(job, output) => {
+                // Remove exactly the memtables this job flushed, by
+                // pointer: concurrent flushes may finish out of order.
+                state
+                    .imm
+                    .retain(|e| !job.mems.iter().any(|m| Arc::ptr_eq(m, &e.mem)));
+                // WALs older than every live memtable can go.
+                let min_wal = state
+                    .imm
+                    .iter()
+                    .map(|e| e.wal_number)
+                    .fold(state.mem_wal_number, u64::min);
+                let mut edit = VersionEdit {
+                    log_number: Some(min_wal),
+                    next_file_number: Some(state.next_file),
+                    last_sequence: Some(state.last_seq),
+                    ..VersionEdit::default()
+                };
+                edit.added_files
+                    .push((0, table_metadata(job.file_number, &output.table)));
+                self.apply_edit(state, &edit)?;
+                state.wals_on_disk.retain(|n| {
+                    if *n < min_wal {
+                        let _ = self.vfs.delete(&wal_file_name(*n));
+                        false
+                    } else {
+                        true
+                    }
+                });
+                state.running_flushes -= 1;
+                state.pending_compaction_bytes =
+                    pending_compaction_bytes(&self.opts(), &state.version);
+                self.account_memory(state);
+                self.sweep_obsolete(state);
+                self.notify_flush_completed(&FlushJobInfo {
+                    file_number: job.file_number,
+                    file_size: output.table.file_size,
+                    num_entries: output.table.properties.num_entries,
+                    memtables_merged: job.mems.len(),
+                });
+            }
+            BuiltJob::Merge(job, output) => {
+                let mut edit = VersionEdit {
+                    next_file_number: Some(state.next_file),
+                    last_sequence: Some(state.last_seq),
+                    ..VersionEdit::default()
+                };
+                for (level, f) in &job.inputs {
+                    edit.deleted_files.push((*level, f.number));
+                }
+                for (number, table) in &output.files {
+                    edit.added_files
+                        .push((job.output_level, table_metadata(*number, table)));
+                }
+                self.apply_edit(state, &edit)?;
+                let info = CompactionJobInfo {
+                    output_level: job.output_level,
+                    input_files: job.inputs.len(),
+                    output_files: output.files.len(),
+                    bytes_read: output.bytes_read,
+                    bytes_written: output.bytes_written,
+                    keys_dropped: output.entries_read - output.entries_written,
+                };
+                self.retire(state, job.inputs.into_iter().map(|(_, f)| f));
+                state.pending_compaction_bytes =
+                    pending_compaction_bytes(&self.opts(), &state.version);
+                self.notify_compaction_completed(&info);
+            }
+            BuiltJob::Drop(files) => {
+                let mut edit = VersionEdit::default();
+                for f in &files {
+                    edit.deleted_files.push((0, f.number));
+                }
+                self.apply_edit(state, &edit)?;
+                self.retire(state, files);
+            }
+        }
+        Ok(())
+    }
+
+    /// Logs `edit` to the manifest and installs the resulting version.
+    /// A failure here (after bounded in-place retries) is not retryable:
+    /// the job's inputs are already consumed, so re-running it cannot
+    /// help.
+    fn apply_edit(&self, state: &mut DbState, edit: &VersionEdit) -> Result<()> {
+        self.log_manifest(&mut state.manifest, &edit.encode())
+            .map_err(|e| e.retryable(false))?;
+        state.version = Arc::new(state.version.apply(edit)?);
+        Ok(())
+    }
+
+    /// Releases a finished compaction's inputs into the obsolete list
+    /// and deletes every one no reader still holds.
+    fn retire(&self, state: &mut DbState, inputs: impl IntoIterator<Item = Arc<FileMetadata>>) {
+        for f in inputs {
+            f.set_being_compacted(false);
+            state.obsolete_files.push(f);
+        }
+        state.running_compactions -= 1;
+        self.sweep_obsolete(state);
+    }
+
+    /// Physically deletes obsolete SSTs whose only remaining reference
+    /// is the obsolete list itself (no version or in-flight reader can
+    /// still open them).
+    fn sweep_obsolete(&self, state: &mut DbState) {
+        let pending = std::mem::take(&mut state.obsolete_files);
+        for f in pending {
+            if Arc::strong_count(&f) == 1 {
+                let _ = self.vfs.delete(&sst_file_name(f.number));
+                self.release_table_readers(self.table_cache.evict(f.number));
+                self.stats.tickers().inc(Ticker::FilesDeleted);
+            } else {
+                state.obsolete_files.push(f);
+            }
+        }
+    }
+
+    /// Blocks until `done` holds for the state. Real mode kicks the pool
+    /// and waits on background completions. Sim mode installs the events
+    /// due by now, lets `schedule` start work, and advances virtual time
+    /// to the next completion; it also returns once nothing is in flight.
+    fn wait_until(
+        &self,
+        state: &mut MutexGuard<'_, DbState>,
+        mut schedule: impl FnMut(&mut DbState, SimTime) -> Result<()>,
+        done: impl Fn(&DbState) -> bool,
+    ) -> Result<()> {
+        loop {
+            if let Some(rt) = &self.runtime {
+                if let Some(e) = rt.fatal_error() {
+                    return Err(e);
+                }
+                if done(state) {
+                    return Ok(());
+                }
+                rt.bg.kick();
+                rt.done_cv.wait_for(state, REAL_WAIT_SLICE);
+                continue;
+            }
+            let now = self.env.clock().now();
+            self.pump_events(state, now)?;
+            schedule(state, now)?;
+            if done(state) {
+                return Ok(());
+            }
+            let Some(next) = state.events.peek().map(|e| e.at) else {
+                return Ok(());
+            };
+            self.env.clock().advance_to(next);
+        }
+    }
+
+    // -----------------------------------------------------------------
     // Real-concurrency mode: background job pool
     // -----------------------------------------------------------------
 
@@ -2835,10 +3127,7 @@ impl DbInner {
                     break;
                 }
             }
-            let job = {
-                let mut state = self.state.lock();
-                self.real_claim_job(&mut state)
-            };
+            let job = self.claim_job(&mut self.state.lock());
             let Some(job) = job else {
                 // Quiet release: nothing ran, so waking peers for this
                 // permit would only restart their own empty claims.
@@ -2847,20 +3136,16 @@ impl DbInner {
                 }
                 break;
             };
-            let result = match job {
-                BgJob::Flush { file_number, mems } => self.real_run_flush(file_number, mems),
-                BgJob::Merge(merge) => self.real_run_merge(rt, merge),
-                BgJob::Drop { files } => self.real_run_drop(files),
-            };
+            let result = self.run_job(job);
             if let Some(ctx) = &self.shard {
                 ctx.release_job(true);
             }
             match result {
                 Ok(()) => consecutive_failures = 0,
-                // A retryable build-phase failure already unclaimed its
-                // inputs (flushing flags / `being_compacted`), so the same
-                // work is claimable again: park briefly with exponential
-                // backoff and re-claim instead of latching the fatal state.
+                // A retryable build failure already released its claim,
+                // so the same work is claimable again: park briefly with
+                // exponential backoff and re-claim instead of latching
+                // the fatal state.
                 Err(e) if e.is_retryable() && !rt.bg.is_shutdown() => {
                     consecutive_failures += 1;
                     self.bg_retries
@@ -2881,395 +3166,122 @@ impl DbInner {
         jobs_run
     }
 
-    /// Whether a worker could claim a job right now (used by idle waits).
-    fn has_claimable_work(&self, state: &DbState) -> bool {
-        if state.running_flushes < self.opts().effective_max_flushes() {
-            let min_merge = self.opts().min_write_buffer_number_to_merge.max(1) as usize;
-            let waiting = state.imm.iter().filter(|e| !e.flushing).count();
-            let forced = state.imm.len() + 1 > self.opts().max_write_buffer_number as usize;
-            if waiting > 0 && (waiting >= min_merge || forced) {
-                return true;
-            }
+    /// Builds a claimed job on the calling thread, without the state
+    /// lock, then installs it under the lock.
+    fn run_job(&self, job: Job) -> Result<()> {
+        let started = self.env.clock().now();
+        let built = self.build(job, None)?;
+        if let Some(h) = built.histogram() {
+            self.stats
+                .record(h, self.env.clock().now().saturating_since(started));
         }
-        !self.opts().disable_auto_compactions
-            && state.running_compactions < self.opts().effective_max_compactions()
-            && pick_compaction(&self.opts(), &state.version).is_some()
-    }
-
-    /// Claims one job under the state lock: flush first (it relieves
-    /// write stalls), then an automatic compaction pick. Claimed inputs
-    /// are marked (flushing flags / `being_compacted`) so concurrent
-    /// workers cannot double-claim them.
-    fn real_claim_job(&self, state: &mut DbState) -> Option<BgJob> {
-        if state.running_flushes < self.opts().effective_max_flushes() {
-            let min_merge = self.opts().min_write_buffer_number_to_merge.max(1) as usize;
-            let waiting: Vec<usize> = state
-                .imm
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.flushing)
-                .map(|(i, _)| i)
-                .collect();
-            let forced = state.imm.len() + 1 > self.opts().max_write_buffer_number as usize;
-            if !waiting.is_empty() && (waiting.len() >= min_merge || forced) {
-                let take: Vec<usize> = waiting.into_iter().take(min_merge.max(1)).collect();
-                let mems: Vec<Arc<MemTable>> =
-                    take.iter().map(|i| Arc::clone(&state.imm[*i].mem)).collect();
-                for i in &take {
-                    state.imm[*i].flushing = true;
-                }
-                let file_number = self.alloc_file_number(state);
-                state.running_flushes += 1;
-                return Some(BgJob::Flush { file_number, mems });
-            }
-        }
-        if !self.opts().disable_auto_compactions
-            && state.running_compactions < self.opts().effective_max_compactions()
-        {
-            match pick_compaction(&self.opts(), &state.version)? {
-                CompactionPick::Drop { files, .. } => {
-                    for f in &files {
-                        f.set_being_compacted(true);
-                    }
-                    state.running_compactions += 1;
-                    return Some(BgJob::Drop { files });
-                }
-                CompactionPick::Merge(c) => {
-                    return Some(BgJob::Merge(self.real_claim_merge(state, c)));
-                }
-            }
-        }
-        None
-    }
-
-    /// Marks a merge's inputs claimed and freezes its output parameters.
-    fn real_claim_merge(
-        &self,
-        state: &mut DbState,
-        c: crate::compaction::CompactionInputs,
-    ) -> MergeJob {
-        for (_, f) in &c.inputs {
-            f.set_being_compacted(true);
-        }
-        state.running_compactions += 1;
-        let output_level = c.output_level;
-        let bottommost = crate::compaction::can_drop_tombstones(&state.version, &c);
-        let target_file_size = self.opts().target_file_size_base.max(64 << 10)
-            * (self.opts().target_file_size_multiplier.max(1) as u64)
-                .pow(output_level.saturating_sub(1) as u32);
-        let config = if bottommost {
-            self.bottom_table_config()
-        } else {
-            self.table_config()
-        };
-        MergeJob {
-            inputs: c.inputs,
-            output_level,
-            bottommost,
-            target_file_size,
-            config,
-            ctx: self.filter_context(),
-        }
-    }
-
-    /// Builds the L0 table off-lock, then installs the version edit
-    /// under a short critical section.
-    fn real_run_flush(&self, file_number: FileNumber, mems: Vec<Arc<MemTable>>) -> Result<()> {
-        let flush_started = self.env.clock().now();
-        let ctx = self.filter_context();
-        let built = build_l0_table(self.vfs.as_ref(), file_number, &mems, self.table_config(), &ctx);
-        let mut state = self.state.lock();
-        let output = match built {
-            Ok(f) => f,
-            Err(e) => {
-                for entry in state.imm.iter_mut() {
-                    if mems.iter().any(|m| Arc::ptr_eq(m, &entry.mem)) {
-                        entry.flushing = false;
-                    }
-                }
-                state.running_flushes -= 1;
-                let _ = self.vfs.delete(&sst_file_name(file_number));
-                return Err(e);
-            }
-        };
-        let finished = &output.table;
-        self.stats.tickers().inc(Ticker::FlushJobs);
-        self.stats.tickers().add(Ticker::FlushBytesWritten, finished.file_size);
-        self.stats.add_level_io(0, 0, finished.file_size, output.entries_dropped);
-        self.stats.record(
-            HistogramKind::FlushTime,
-            self.env.clock().now().saturating_since(flush_started),
-        );
-        let meta = Arc::new(FileMetadata::new(
-            file_number,
-            finished.file_size,
-            finished.smallest.clone(),
-            finished.largest.clone(),
-            finished.properties.num_entries,
-        ));
-        // Remove exactly the memtables this job consumed (identified by
-        // pointer: concurrent flushes may interleave completions).
-        state
-            .imm
-            .retain(|e| !mems.iter().any(|m| Arc::ptr_eq(m, &e.mem)));
-        let min_wal = state
-            .imm
-            .iter()
-            .map(|e| e.wal_number)
-            .chain(std::iter::once(state.mem_wal_number))
-            .min()
-            .unwrap_or(state.mem_wal_number);
-        let mut edit = VersionEdit {
-            log_number: Some(min_wal),
-            next_file_number: Some(state.next_file),
-            last_sequence: Some(state.last_seq),
-            ..VersionEdit::default()
-        };
-        edit.added_files.push((0, meta));
-        // Install-phase failures (after bounded in-place retries) are not
-        // recoverable by re-running the job: the memtables were already
-        // detached above. Escalate as non-retryable so the worker latches
-        // the fatal state instead of parking.
-        self.log_manifest(&mut state.manifest, &edit.encode())
-            .map_err(|e| e.retryable(false))?;
-        state.version = Arc::new(state.version.apply(&edit)?);
-        state.wals_on_disk.retain(|n| {
-            if *n < min_wal {
-                let _ = self.vfs.delete(&wal_file_name(*n));
-                false
-            } else {
-                true
-            }
-        });
-        state.running_flushes -= 1;
-        state.pending_compaction_bytes = pending_compaction_bytes(&self.opts(), &state.version);
-        self.account_memory(&state);
-        self.sweep_obsolete(&mut state);
-        drop(state);
-        self.notify_flush_completed(&FlushJobInfo {
-            file_number,
-            file_size: output.table.file_size,
-            num_entries: output.table.properties.num_entries,
-            memtables_merged: mems.len(),
-        });
-        Ok(())
-    }
-
-    /// Runs a claimed merge off-lock (output file numbers are allocated
-    /// through short re-locks), then installs the edit.
-    fn real_run_merge(&self, _rt: &Runtime, job: MergeJob) -> Result<()> {
-        let merge_started = self.env.clock().now();
-        let files: Vec<Arc<FileMetadata>> =
-            job.inputs.iter().map(|(_, f)| Arc::clone(f)).collect();
-        let output = run_compaction(
-            self.vfs.as_ref(),
-            &files,
-            job.bottommost,
-            job.target_file_size,
-            &job.config,
-            &job.ctx,
-            || {
-                let mut state = self.state.lock();
-                self.alloc_file_number(&mut state)
-            },
-        );
-        let output = match output {
-            Ok(o) => o,
-            Err(e) => {
-                let mut state = self.state.lock();
-                for (_, f) in &job.inputs {
-                    f.set_being_compacted(false);
-                }
-                state.running_compactions -= 1;
-                return Err(e);
-            }
-        };
-        let keys_dropped = output.entries_read - output.entries_written;
-        self.stats.tickers().inc(Ticker::CompactionJobs);
-        self.stats.tickers().add(Ticker::CompactionBytesRead, output.bytes_read);
-        self.stats
-            .tickers()
-            .add(Ticker::CompactionBytesWritten, output.bytes_written);
-        self.stats.tickers().add(Ticker::CompactionKeyDropped, keys_dropped);
-        self.stats.add_level_io(
-            job.output_level,
-            output.bytes_read,
-            output.bytes_written,
-            keys_dropped,
-        );
-        self.stats.record(
-            HistogramKind::CompactionTime,
-            self.env.clock().now().saturating_since(merge_started),
-        );
-
-        let mut state = self.state.lock();
-        let mut edit = VersionEdit {
-            next_file_number: Some(state.next_file),
-            last_sequence: Some(state.last_seq),
-            ..VersionEdit::default()
-        };
-        for (level, f) in &job.inputs {
-            edit.deleted_files.push((*level, f.number));
-        }
-        for (number, fin) in &output.files {
-            edit.added_files.push((
-                job.output_level,
-                Arc::new(FileMetadata::new(
-                    *number,
-                    fin.file_size,
-                    fin.smallest.clone(),
-                    fin.largest.clone(),
-                    fin.properties.num_entries,
-                )),
-            ));
-        }
-        self.log_manifest(&mut state.manifest, &edit.encode())
-            .map_err(|e| e.retryable(false))?;
-        state.version = Arc::new(state.version.apply(&edit)?);
-        for (_, f) in &job.inputs {
-            f.set_being_compacted(false);
-            state.obsolete_files.push(Arc::clone(f));
-        }
-        state.running_compactions -= 1;
-        state.pending_compaction_bytes = pending_compaction_bytes(&self.opts(), &state.version);
-        self.sweep_obsolete(&mut state);
-        drop(state);
-        self.notify_compaction_completed(&CompactionJobInfo {
-            output_level: job.output_level,
-            input_files: job.inputs.len(),
-            output_files: output.files.len(),
-            bytes_read: output.bytes_read,
-            bytes_written: output.bytes_written,
-            keys_dropped,
-        });
-        Ok(())
-    }
-
-    /// Applies a claimed FIFO drop under the state lock.
-    fn real_run_drop(&self, files: Vec<Arc<FileMetadata>>) -> Result<()> {
-        let mut state = self.state.lock();
-        let mut edit = VersionEdit::default();
-        for f in &files {
-            edit.deleted_files.push((0, f.number));
-        }
-        self.log_manifest(&mut state.manifest, &edit.encode())
-            .map_err(|e| e.retryable(false))?;
-        state.version = Arc::new(state.version.apply(&edit)?);
-        for f in files {
-            f.set_being_compacted(false);
-            state.obsolete_files.push(f);
-        }
-        state.running_compactions -= 1;
-        self.sweep_obsolete(&mut state);
-        Ok(())
-    }
-
-    /// Physically deletes obsolete SSTs whose only remaining reference
-    /// is the obsolete list itself (no version or in-flight reader can
-    /// still open them).
-    fn sweep_obsolete(&self, state: &mut DbState) {
-        let pending = std::mem::take(&mut state.obsolete_files);
-        for f in pending {
-            if Arc::strong_count(&f) == 1 {
-                let _ = self.vfs.delete(&sst_file_name(f.number));
-                self.release_table_readers(self.table_cache.evict(f.number));
-                self.stats.tickers().inc(Ticker::FilesDeleted);
-            } else {
-                state.obsolete_files.push(f);
-            }
-        }
+        self.install(&mut self.state.lock(), built)
     }
 
     // -----------------------------------------------------------------
-    // Background scheduling
+    // Simulation mode: cost model and event queue
     // -----------------------------------------------------------------
 
-    fn push_event(&self, state: &mut DbState, at: SimTime, kind: EventKind) {
+    fn push_event(&self, state: &mut DbState, at: SimTime, job: BuiltJob) {
         state.event_seq += 1;
         let seq = state.event_seq;
-        state.events.push(Event { at, seq, kind });
+        state.events.push(Event { at, seq, job });
     }
 
     fn maybe_schedule_flush(&self, state: &mut DbState, now: SimTime) -> Result<()> {
-        let min_merge = self.opts().min_write_buffer_number_to_merge.max(1) as usize;
-        loop {
-            if state.running_flushes >= self.opts().effective_max_flushes() {
-                return Ok(());
-            }
-            let waiting: Vec<usize> = state
-                .imm
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.flushing)
-                .map(|(i, _)| i)
-                .collect();
-            // Flush when enough memtables accumulated, or when the write
-            // path is blocked on memtable count (can't wait for more).
-            let forced = state.imm.len() + 1 > self.opts().max_write_buffer_number as usize;
-            if waiting.is_empty() || (waiting.len() < min_merge && !forced) {
-                return Ok(());
-            }
-            let take: Vec<usize> = waiting.into_iter().take(min_merge.max(1)).collect();
-            let mems: Vec<Arc<MemTable>> =
-                take.iter().map(|i| Arc::clone(&state.imm[*i].mem)).collect();
-            for i in &take {
-                state.imm[*i].flushing = true;
-            }
-            let file_number = self.alloc_file_number(state);
-
-            // Build the table eagerly; account its cost on the hardware.
-            let ctx = self.filter_context();
-            let built = match build_l0_table(
-                self.vfs.as_ref(),
-                file_number,
-                &mems,
-                self.table_config(),
-                &ctx,
-            ) {
-                Ok(f) => f,
-                Err(e) => {
-                    for i in &take {
-                        state.imm[*i].flushing = false;
-                    }
-                    let _ = self.vfs.delete(&sst_file_name(file_number));
-                    return Err(e);
-                }
-            };
-            let entries_dropped = built.entries_dropped;
-            let finished = built.table;
-
-            let raw = finished.properties.raw_bytes;
-            let cpu_cost = SimDuration::from_secs_f64(raw as f64 / self.cost.flush_cpu_bps)
-                + finished.compression_cpu;
-            let slot = self.env.cpu().run(now, cpu_cost);
-            let io_done = self.submit_background_write(slot.start, finished.file_size);
-            let mut end = slot.end.max(io_done);
-            if self.opts().rate_limiter_bytes_per_sec > 0 {
-                let min_dur = SimDuration::from_secs_f64(
-                    finished.file_size as f64 / self.opts().rate_limiter_bytes_per_sec as f64,
-                );
-                end = end.max(slot.start + min_dur);
-            }
-            let end = slot.start + (end - slot.start).mul_f64(self.env.memory().penalty_factor());
-
-            self.stats.tickers().inc(Ticker::FlushJobs);
-            self.stats.tickers().add(Ticker::FlushBytesWritten, finished.file_size);
-            self.stats
-                .add_level_io(0, 0, finished.file_size, entries_dropped);
-            self.stats
-                .record(HistogramKind::FlushTime, end.saturating_since(now));
-            state.running_flushes += 1;
-            let mems_consumed = take.len();
-            self.push_event(
-                state,
-                end,
-                EventKind::FlushDone {
-                    file_number,
-                    finished,
-                    mems_consumed,
-                },
-            );
+        while let Some(job) = self.claim_flush(state) {
+            self.schedule_job(state, now, job)?;
         }
+        Ok(())
+    }
+
+    fn maybe_schedule_compaction(&self, state: &mut DbState, now: SimTime) -> Result<()> {
+        while let Some(job) = self.claim_auto_compaction(state) {
+            self.schedule_job(state, now, job)?;
+        }
+        Ok(())
+    }
+
+    /// Builds a claimed job now and queues its install at the instant the
+    /// cost model says it completes.
+    fn schedule_job(&self, state: &mut DbState, now: SimTime, job: Job) -> Result<()> {
+        let built = self.build(job, Some(state))?;
+        let at = self.completion_time(now, &built);
+        if let Some(h) = built.histogram() {
+            self.stats.record(h, at.saturating_since(now));
+        }
+        self.push_event(state, at, built);
+        Ok(())
+    }
+
+    /// When a job started at `now` completes: its CPU and device time on
+    /// the shared hardware, the rate limiter's floor, and the memory
+    /// pressure penalty.
+    fn completion_time(&self, now: SimTime, built: &BuiltJob) -> SimTime {
+        let opts = self.opts();
+        let (start, mut end, limited_bytes) = match built {
+            BuiltJob::Drop(_) => return now + SimDuration::from_micros(500),
+            BuiltJob::Flush(_, output) => {
+                let table = &output.table;
+                let cpu_cost = SimDuration::from_secs_f64(
+                    table.properties.raw_bytes as f64 / self.cost.flush_cpu_bps,
+                ) + table.compression_cpu;
+                let slot = self.env.cpu().run(now, cpu_cost);
+                let io_done = self.submit_background_write(slot.start, table.file_size);
+                (slot.start, slot.end.max(io_done), table.file_size)
+            }
+            BuiltJob::Merge(job, output) => {
+                // Chunked reads (readahead), chunked writes, merge CPU
+                // split across subcompactions.
+                let readahead = opts.compaction_readahead_size.max(64 << 10);
+                let read_pattern = if self.env.device().model().class.is_rotational() {
+                    AccessPattern::Random // one seek per readahead chunk
+                } else {
+                    AccessPattern::Sequential
+                };
+                let subs = (opts.max_subcompactions.max(1) as usize)
+                    .min(job.inputs.len())
+                    .max(1);
+                let cpu_total = SimDuration::from_secs_f64(
+                    output.bytes_read as f64 / self.cost.compaction_cpu_bps,
+                ) + SimDuration::from_nanos(
+                    output.entries_read * self.cost.compaction_entry_cpu.as_nanos(),
+                ) + output.compression_cpu
+                    + if opts.compression != crate::options::CompressionType::None {
+                        decompress_cpu_cost(opts.compression, output.bytes_read as usize)
+                    } else {
+                        SimDuration::ZERO
+                    };
+                let per_sub = cpu_total.mul_f64(1.0 / subs as f64);
+                let mut cpu_end = now;
+                let mut start = now;
+                for _ in 0..subs {
+                    let slot = self.env.cpu().run(now, per_sub);
+                    cpu_end = cpu_end.max(slot.end);
+                    start = start.max(slot.start);
+                }
+                let mut io_end = start;
+                let mut remaining = output.bytes_read;
+                while remaining > 0 {
+                    let n = remaining.min(readahead);
+                    io_end = self.env.device().submit_read(io_end, n, read_pattern);
+                    remaining -= n;
+                }
+                let write_done = self.submit_background_write(start, output.bytes_written);
+                (
+                    start,
+                    cpu_end.max(io_end).max(write_done),
+                    output.bytes_read + output.bytes_written,
+                )
+            }
+        };
+        if opts.rate_limiter_bytes_per_sec > 0 {
+            let min_dur = SimDuration::from_secs_f64(
+                limited_bytes as f64 / opts.rate_limiter_bytes_per_sec as f64,
+            );
+            end = end.max(start + min_dur);
+        }
+        start + (end - start).mul_f64(self.env.memory().penalty_factor())
     }
 
     /// Submits a background sequential write in `bytes_per_sync`-sized
@@ -3294,349 +3306,29 @@ impl DbInner {
         self.env.device().submit_sync(done)
     }
 
-    fn maybe_schedule_compaction(&self, state: &mut DbState, now: SimTime) -> Result<()> {
-        if self.opts().disable_auto_compactions {
-            return Ok(());
-        }
-        while state.running_compactions < self.opts().effective_max_compactions() {
-            let Some(pick) = pick_compaction(&self.opts(), &state.version) else {
-                return Ok(());
-            };
-            match pick {
-                CompactionPick::Drop { files, .. } => {
-                    for f in &files {
-                        f.set_being_compacted(true);
-                    }
-                    state.running_compactions += 1;
-                    self.push_event(
-                        state,
-                        now + SimDuration::from_micros(500),
-                        EventKind::FifoDropDone { files },
-                    );
-                }
-                CompactionPick::Merge(c) => {
-                    self.schedule_merge(state, now, c)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one merging compaction and schedules its completion.
-    fn schedule_merge(
-        &self,
-        state: &mut DbState,
-        now: SimTime,
-        c: crate::compaction::CompactionInputs,
-    ) -> Result<()> {
-        for (_, f) in &c.inputs {
-            f.set_being_compacted(true);
-        }
-        let output_level = c.output_level;
-        let bottommost = crate::compaction::can_drop_tombstones(&state.version, &c);
-        let target = self.opts().target_file_size_base.max(64 << 10)
-            * (self.opts().target_file_size_multiplier.max(1) as u64)
-                .pow(output_level.saturating_sub(1) as u32);
-        let config = if bottommost {
-            self.bottom_table_config()
-        } else {
-            self.table_config()
-        };
-        let files: Vec<Arc<FileMetadata>> =
-            c.inputs.iter().map(|(_, f)| Arc::clone(f)).collect();
-        // Allocate output numbers through a small local pool.
-        let ctx = self.filter_context();
-        let output = {
-            let state_ref: &mut DbState = state;
-            let mut next = state_ref.next_file;
-            let result = run_compaction(
-                self.vfs.as_ref(),
-                &files,
-                bottommost,
-                target,
-                &config,
-                &ctx,
-                || {
-                    let n = next;
-                    next += 1;
-                    FileNumber(n)
-                },
-            );
-            state_ref.next_file = next;
-            result
-        };
-        let output = match output {
-            Ok(o) => o,
-            Err(e) => {
-                for (_, f) in &c.inputs {
-                    f.set_being_compacted(false);
-                }
-                return Err(e);
-            }
-        };
-
-        // Cost model: chunked reads (readahead), chunked
-        // writes, merge CPU split across subcompactions.
-        let readahead = self.opts().compaction_readahead_size.max(64 << 10);
-        let rotational = self.env.device().model().class.is_rotational();
-        let read_pattern = if rotational {
-            AccessPattern::Random // one seek per readahead chunk
-        } else {
-            AccessPattern::Sequential
-        };
-        let subs = (self.opts().max_subcompactions.max(1) as usize)
-            .min(files.len())
-            .max(1);
-        let cpu_total = SimDuration::from_secs_f64(
-            output.bytes_read as f64 / self.cost.compaction_cpu_bps,
-        ) + SimDuration::from_nanos(
-            output.entries_read
-                * self.cost.compaction_entry_cpu.as_nanos(),
-        ) + output.compression_cpu
-            + if self.opts().compression != crate::options::CompressionType::None {
-                decompress_cpu_cost(self.opts().compression, output.bytes_read as usize)
-            } else {
-                SimDuration::ZERO
-            };
-        let per_sub = cpu_total.mul_f64(1.0 / subs as f64);
-        let mut cpu_end = now;
-        let mut start = now;
-        for _ in 0..subs {
-            let slot = self.env.cpu().run(now, per_sub);
-            cpu_end = cpu_end.max(slot.end);
-            start = start.max(slot.start);
-        }
-        // Reads.
-        let mut io_end = start;
-        let mut at = start;
-        let mut remaining = output.bytes_read;
-        while remaining > 0 {
-            let n = remaining.min(readahead);
-            io_end = self.env.device().submit_read(at, n, read_pattern);
-            at = io_end;
-            remaining -= n;
-        }
-        // Writes.
-        let write_done = self.submit_background_write(start, output.bytes_written);
-        let mut end = cpu_end.max(io_end).max(write_done);
-        if self.opts().rate_limiter_bytes_per_sec > 0 {
-            let min_dur = SimDuration::from_secs_f64(
-                (output.bytes_read + output.bytes_written) as f64
-                    / self.opts().rate_limiter_bytes_per_sec as f64,
-            );
-            end = end.max(start + min_dur);
-        }
-        let end = start + (end - start).mul_f64(self.env.memory().penalty_factor());
-
-        let keys_dropped = output.entries_read - output.entries_written;
-        self.stats.tickers().inc(Ticker::CompactionJobs);
-        self.stats.tickers().add(Ticker::CompactionBytesRead, output.bytes_read);
-        self.stats.tickers().add(Ticker::CompactionBytesWritten, output.bytes_written);
-        self.stats.tickers().add(Ticker::CompactionKeyDropped, keys_dropped);
-        self.stats.add_level_io(
-            output_level,
-            output.bytes_read,
-            output.bytes_written,
-            keys_dropped,
-        );
-        self.stats
-            .record(HistogramKind::CompactionTime, end.saturating_since(now));
-        state.running_compactions += 1;
-        self.push_event(
-            state,
-            end,
-            EventKind::CompactionDone {
-                inputs: c.inputs,
-                outputs: output.files,
-                output_level,
-                bytes_read: output.bytes_read,
-                keys_dropped,
-            },
-        );
-
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Event application
-    // -----------------------------------------------------------------
-
+    /// Installs every queued job due by `now`, in completion order, and
+    /// starts the work each completion makes runnable.
     fn pump_events(&self, state: &mut DbState, now: SimTime) -> Result<()> {
-        while state.events.peek().map(|e| e.at <= now).unwrap_or(false) {
-            let event = state.events.pop().expect("peeked");
-            match event.kind {
-                EventKind::FlushDone {
-                    file_number,
-                    finished,
-                    mems_consumed,
-                } => {
-                    self.apply_flush_done(state, event.at, file_number, finished, mems_consumed)?;
-                }
-                EventKind::CompactionDone {
-                    inputs,
-                    outputs,
-                    output_level,
-                    bytes_read,
-                    keys_dropped,
-                } => {
-                    self.apply_compaction_done(
-                        state,
-                        event.at,
-                        inputs,
-                        outputs,
-                        output_level,
-                        bytes_read,
-                        keys_dropped,
-                    )?;
-                }
-                EventKind::FifoDropDone { files } => {
-                    self.apply_fifo_drop(state, event.at, files)?;
-                }
+        while state.events.peek().is_some_and(|e| e.at <= now) {
+            let Event { at, job, .. } = state.events.pop().expect("peeked");
+            // The manifest record's device write.
+            let manifest_bytes = match &job {
+                BuiltJob::Flush(..) => 128,
+                BuiltJob::Merge(..) => 256,
+                BuiltJob::Drop(_) => 0,
+            };
+            let flushed = matches!(job, BuiltJob::Flush(..));
+            self.install(state, job)?;
+            if manifest_bytes > 0 {
+                self.env
+                    .device()
+                    .submit_write(at, manifest_bytes, AccessPattern::Sequential);
             }
-        }
-        Ok(())
-    }
-
-    fn apply_flush_done(
-        &self,
-        state: &mut DbState,
-        at: SimTime,
-        file_number: FileNumber,
-        finished: FinishedTable,
-        mems_consumed: usize,
-    ) -> Result<()> {
-        let meta = Arc::new(FileMetadata::new(
-            file_number,
-            finished.file_size,
-            finished.smallest.clone(),
-            finished.largest.clone(),
-            finished.properties.num_entries,
-        ));
-        // Remove the consumed memtables (the oldest `mems_consumed`
-        // flushing entries).
-        let mut removed = 0;
-        state.imm.retain(|e| {
-            if e.flushing && removed < mems_consumed {
-                removed += 1;
-                false
-            } else {
-                true
+            if flushed {
+                self.maybe_schedule_flush(state, at)?;
             }
-        });
-        // WALs older than every remaining memtable can go.
-        let min_wal = state
-            .imm
-            .iter()
-            .map(|e| e.wal_number)
-            .chain(std::iter::once(state.mem_wal_number))
-            .min()
-            .unwrap_or(state.mem_wal_number);
-        let mut edit = VersionEdit {
-            log_number: Some(min_wal),
-            next_file_number: Some(state.next_file),
-            last_sequence: Some(state.last_seq),
-            ..VersionEdit::default()
-        };
-        edit.added_files.push((0, Arc::clone(&meta)));
-        self.log_manifest(&mut state.manifest, &edit.encode())?;
-        self.env.device().submit_write(at, 128, AccessPattern::Sequential);
-        state.version = Arc::new(state.version.apply(&edit)?);
-        state.wals_on_disk.retain(|n| {
-            if *n < min_wal {
-                let _ = self.vfs.delete(&wal_file_name(*n));
-                false
-            } else {
-                true
-            }
-        });
-        state.running_flushes -= 1;
-        state.pending_compaction_bytes = pending_compaction_bytes(&self.opts(), &state.version);
-        self.account_memory(state);
-        self.notify_flush_completed(&FlushJobInfo {
-            file_number,
-            file_size: finished.file_size,
-            num_entries: finished.properties.num_entries,
-            memtables_merged: mems_consumed,
-        });
-        self.maybe_schedule_flush(state, at)?;
-        self.maybe_schedule_compaction(state, at)?;
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_compaction_done(
-        &self,
-        state: &mut DbState,
-        at: SimTime,
-        inputs: Vec<(usize, Arc<FileMetadata>)>,
-        outputs: Vec<(FileNumber, FinishedTable)>,
-        output_level: usize,
-        bytes_read: u64,
-        keys_dropped: u64,
-    ) -> Result<()> {
-        let mut edit = VersionEdit {
-            next_file_number: Some(state.next_file),
-            last_sequence: Some(state.last_seq),
-            ..VersionEdit::default()
-        };
-        for (level, f) in &inputs {
-            edit.deleted_files.push((*level, f.number));
+            self.maybe_schedule_compaction(state, at)?;
         }
-        for (number, fin) in &outputs {
-            edit.added_files.push((
-                output_level,
-                Arc::new(FileMetadata::new(
-                    *number,
-                    fin.file_size,
-                    fin.smallest.clone(),
-                    fin.largest.clone(),
-                    fin.properties.num_entries,
-                )),
-            ));
-        }
-        self.log_manifest(&mut state.manifest, &edit.encode())?;
-        self.env.device().submit_write(at, 256, AccessPattern::Sequential);
-        state.version = Arc::new(state.version.apply(&edit)?);
-        for (_, f) in &inputs {
-            f.set_being_compacted(false);
-            let _ = self.vfs.delete(&sst_file_name(f.number));
-            self.release_table_readers(self.table_cache.evict(f.number));
-            self.stats.tickers().inc(Ticker::FilesDeleted);
-        }
-        state.running_compactions -= 1;
-        state.pending_compaction_bytes = pending_compaction_bytes(&self.opts(), &state.version);
-        self.notify_compaction_completed(&CompactionJobInfo {
-            output_level,
-            input_files: inputs.len(),
-            output_files: outputs.len(),
-            bytes_read,
-            bytes_written: outputs.iter().map(|(_, fin)| fin.file_size).sum(),
-            keys_dropped,
-        });
-        self.maybe_schedule_compaction(state, at)?;
-        Ok(())
-    }
-
-    fn apply_fifo_drop(
-        &self,
-        state: &mut DbState,
-        at: SimTime,
-        files: Vec<Arc<FileMetadata>>,
-    ) -> Result<()> {
-        let mut edit = VersionEdit::default();
-        for f in &files {
-            edit.deleted_files.push((0, f.number));
-        }
-        self.log_manifest(&mut state.manifest, &edit.encode())?;
-        state.version = Arc::new(state.version.apply(&edit)?);
-        for f in &files {
-            f.set_being_compacted(false);
-            let _ = self.vfs.delete(&sst_file_name(f.number));
-            self.release_table_readers(self.table_cache.evict(f.number));
-            self.stats.tickers().inc(Ticker::FilesDeleted);
-        }
-        state.running_compactions -= 1;
-        self.maybe_schedule_compaction(state, at)?;
         Ok(())
     }
 
@@ -3841,48 +3533,7 @@ impl DbInner {
         true
     }
 
-    fn search_tables(
-        &self,
-        version: &Version,
-        key: &[u8],
-        snapshot: SequenceNumber,
-        ropts: &ReadOptions,
-        cpu: &mut SimDuration,
-    ) -> Result<Option<Option<Vec<u8>>>> {
-        let target = crate::types::lookup_key(key, snapshot);
-        // L0: newest first, ranges may overlap.
-        for f in version.files(0) {
-            if key < f.smallest.user_key() || key > f.largest.user_key() {
-                continue;
-            }
-            if let Some(result) = self.probe_table(f, key, &target, ropts, cpu)? {
-                return Ok(Some(result));
-            }
-        }
-        // Deeper levels: at most one file can contain the key.
-        for level in 1..version.num_levels() {
-            let files = version.files(level);
-            if files.is_empty() {
-                continue;
-            }
-            // Binary search by largest user key.
-            let idx = files.partition_point(|f| f.largest.user_key() < key);
-            if idx >= files.len() {
-                continue;
-            }
-            let f = &files[idx];
-            if key < f.smallest.user_key() {
-                continue;
-            }
-            *cpu += SimDuration::from_nanos(60); // range binary search
-            if let Some(result) = self.probe_table(f, key, &target, ropts, cpu)? {
-                return Ok(Some(result));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Batched table search for [`Db::multi_get_opt`]. `unresolved`
+    /// Batched table search for [`Db::get_opt`] and [`Db::multi_get_opt`]. `unresolved`
     /// holds batch indices sorted by key; resolved entries are written
     /// into `results` and removed. Each L0 file and each deeper-level
     /// file is probed at most once for the whole batch.
@@ -4007,44 +3658,6 @@ impl DbInner {
             }
         }
         Ok(())
-    }
-
-    fn probe_table(
-        &self,
-        file: &FileMetadata,
-        user_key: &[u8],
-        target: &InternalKey,
-        ropts: &ReadOptions,
-        cpu: &mut SimDuration,
-    ) -> Result<Option<Option<Vec<u8>>>> {
-        let reader = self.open_table(file, ropts, cpu)?;
-        if !self.check_filters(&reader, user_key, cpu) {
-            return Ok(None);
-        }
-        *cpu += self.cost.index_seek_cpu;
-        let Some(handle) = self.find_data_block(&reader, file.number, target.encoded(), ropts, cpu)?
-        else {
-            return Ok(None);
-        };
-        let block = self.fetch_block(&reader, file.number, handle, ropts, cpu)?;
-        *cpu += SimDuration::from_nanos(300); // block binary search + scan
-        match block.seek(target.encoded())? {
-            Some((k, v)) => {
-                let found_user = &k[..k.len() - 8];
-                if found_user != user_key {
-                    return Ok(None);
-                }
-                let tag = u64::from_le_bytes(k[k.len() - 8..].try_into().expect("tag"));
-                if (tag & 0xff) == ValueType::Deletion as u64 {
-                    Ok(Some(None))
-                } else if (tag & 0xff) == ValueType::TtlValue as u64 {
-                    Ok(Some(self.resolve_ttl(&v)))
-                } else {
-                    Ok(Some(Some(v)))
-                }
-            }
-            None => Ok(None),
-        }
     }
 }
 
