@@ -256,4 +256,14 @@ diff results/table5.golden.txt /tmp/ci-table5-a.txt
 diff results/table5.golden.txt /tmp/ci-table5-b.txt
 rm -f /tmp/ci-table5-a.txt /tmp/ci-table5-b.txt
 
+echo "==> determinism gate: sim db_bench stats dump (stdout + stderr) must match results/db_bench_sim.golden.txt"
+# Every ticker, level and histogram line of a sim run is deterministic,
+# so any change to the engine's sim behavior or counters shows here.
+./target/release/db_bench --benchmarks fillrandom,readrandom,mixgraph --num 100000 \
+    --option write_buffer_size=262144 --option target_file_size_base=262144 \
+    --option max_bytes_for_level_base=1048576 --option max_background_flushes=2 \
+    --stats_dump > /tmp/ci-dbbench-sim.txt 2>&1
+diff results/db_bench_sim.golden.txt /tmp/ci-dbbench-sim.txt
+rm -f /tmp/ci-dbbench-sim.txt
+
 echo "CI OK"

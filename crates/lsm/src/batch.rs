@@ -4,6 +4,7 @@
 //! `(u8 type | varint32 klen | key | varint32 vlen | value)*`.
 
 use crate::error::{Error, Result};
+use crate::memtable::MemTable;
 use crate::types::{SequenceNumber, ValueType};
 use crate::util::{get_fixed32, get_fixed64, get_varint32, put_fixed32, put_fixed64, put_varint32};
 
@@ -103,15 +104,34 @@ impl WriteBatch {
 
     /// Serializes the batch for the WAL with its assigned first sequence.
     pub fn encode(&self, first_seq: SequenceNumber) -> Vec<u8> {
+        self.encode_with(first_seq, |_| {})
+    }
+
+    /// The one encoder of the record format: serializes the batch and
+    /// reports where each operation's key and value landed.
+    fn encode_with(
+        &self,
+        first_seq: SequenceNumber,
+        mut on_entry: impl FnMut(EntrySpan),
+    ) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.approximate_bytes() + 16);
         put_fixed64(&mut out, first_seq);
         put_fixed32(&mut out, self.entries.len() as u32);
         for (ty, key, value) in &self.entries {
             out.push(*ty as u8);
             put_varint32(&mut out, key.len() as u32);
+            let key_at = out.len() as u32;
             out.extend_from_slice(key);
             put_varint32(&mut out, value.len() as u32);
+            let value_at = out.len() as u32;
             out.extend_from_slice(value);
+            on_entry(EntrySpan {
+                key_at,
+                key_len: key.len() as u32,
+                value_at,
+                value_len: value.len() as u32,
+                ty: *ty,
+            });
         }
         out
     }
@@ -159,6 +179,90 @@ impl WriteBatch {
             return Err(Error::corruption("batch: trailing bytes"));
         }
         Ok((first_seq, batch))
+    }
+}
+
+/// Where one operation's key and value bytes sit inside an encoded
+/// record. Spans are plain offsets, so a prepared batch carries no owned
+/// per-entry buffers: appliers read straight out of the record.
+#[derive(Clone, Copy)]
+pub(crate) struct EntrySpan {
+    key_at: u32,
+    key_len: u32,
+    value_at: u32,
+    value_len: u32,
+    ty: ValueType,
+}
+
+/// A write batch encoded once, before it commits.
+///
+/// Everything sequence-independent is done by the submitting thread: the
+/// WAL record is serialized with a zero placeholder in its first-sequence
+/// header, and each operation's key/value position inside the record is
+/// captured as an [`EntrySpan`]. The commit only patches the record's
+/// sequence header and replays the spans into the memtable.
+pub(crate) struct PreparedWrite {
+    /// WAL record (batch encoding) with `first_seq = 0` placeholder.
+    pub record: Vec<u8>,
+    /// Per-operation byte positions inside `record`.
+    entries: Vec<EntrySpan>,
+    /// First sequence assigned to this batch; stamped by `patch_seq`.
+    first_seq: SequenceNumber,
+    /// Number of operations in the batch.
+    pub count: u64,
+    /// Total user key + value bytes (ticker accounting).
+    pub payload_bytes: u64,
+    /// [`WriteBatch::approximate_bytes`], what the write controller's
+    /// delay is computed from.
+    pub approximate_bytes: u64,
+    /// Whether this write requested a durable WAL sync.
+    pub sync: bool,
+}
+
+impl PreparedWrite {
+    /// Encodes `batch` for commit. CRC framing happens later inside the
+    /// WAL writer, so patching the sequence header afterwards is safe.
+    pub fn prepare(batch: &WriteBatch, sync: bool) -> PreparedWrite {
+        let mut entries = Vec::with_capacity(batch.len());
+        let mut payload_bytes = 0u64;
+        let record = batch.encode_with(0, |span| {
+            payload_bytes += u64::from(span.key_len + span.value_len);
+            entries.push(span);
+        });
+        PreparedWrite {
+            record,
+            entries,
+            first_seq: 0,
+            count: batch.len() as u64,
+            payload_bytes,
+            approximate_bytes: batch.approximate_bytes() as u64,
+            sync,
+        }
+    }
+
+    /// Stamps the assigned first sequence into the WAL record header and
+    /// remembers it for the memtable replay (entry `i` gets
+    /// `first_seq + i`).
+    pub fn patch_seq(&mut self, first_seq: SequenceNumber) {
+        self.record[0..8].copy_from_slice(&first_seq.to_le_bytes());
+        self.first_seq = first_seq;
+    }
+
+    /// Replays the batch into `mem`, building each internal key in
+    /// `scratch` (reused across entries).
+    ///
+    /// Must run after [`patch_seq`](Self::patch_seq).
+    pub fn apply_to(&self, mem: &MemTable, scratch: &mut Vec<u8>) {
+        for (i, span) in self.entries.iter().enumerate() {
+            let key = &self.record[span.key_at as usize..(span.key_at + span.key_len) as usize];
+            let value =
+                &self.record[span.value_at as usize..(span.value_at + span.value_len) as usize];
+            let tag = ((self.first_seq + i as u64) << 8) | span.ty as u64;
+            scratch.clear();
+            scratch.extend_from_slice(key);
+            scratch.extend_from_slice(&tag.to_le_bytes());
+            mem.apply_encoded(scratch, value);
+        }
     }
 }
 

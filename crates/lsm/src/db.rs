@@ -20,12 +20,15 @@
 //! the lookup. The mode is selected once at [`Db::builder`] from the
 //! environment's clock.
 //!
-//! Both modes run every flush, compaction and FIFO drop through the same
+//! Both modes commit every write through one `DbInner::commit_group`
+//! (stall wait, sequences, WAL append and sync, memtable apply, memtable
+//! switch) and run every flush, compaction and FIFO drop through the same
 //! claim -> build -> install steps (`claim_flush`/`claim_compaction`,
 //! `DbInner::build`, `DbInner::install`). Only the timing differs: sim
-//! mode builds at once and queues the install at the cost model's
-//! completion instant, real mode builds on a worker thread and installs
-//! when the build returns.
+//! mode commits each write as a group of one, charging its modeled cost
+//! to the virtual clock, builds at once and queues the install at the
+//! cost model's completion instant; real mode commits leader-drained
+//! groups, builds on a worker thread and installs when the build returns.
 
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Weak};
@@ -34,7 +37,7 @@ use std::time::Duration;
 use hw_sim::{AccessPattern, HardwareEnv, MemoryUser, SimDuration, SimTime};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use crate::batch::WriteBatch;
+use crate::batch::{PreparedWrite, WriteBatch};
 use crate::cache::{BlockCache, BlockKey, CacheStats, TableCache};
 use crate::compaction::{
     level_targets, pending_compaction_bytes, pick_compaction, run_compaction, CompactionJobOutput,
@@ -48,7 +51,7 @@ use crate::options::{ini, Options};
 use crate::listener::{
     CompactionJobInfo, EventListener, FlushJobInfo, StallConditionsChanged,
 };
-use crate::runtime::{BgShared, PreparedWrite, Runtime};
+use crate::runtime::{BgShared, Runtime};
 use crate::sstable::block::{Block, OwnedBlockIter};
 use crate::sstable::compress::decompress_cpu_cost;
 use crate::sstable::table::{FinishedTable, TableConfig, TableReader};
@@ -347,6 +350,9 @@ const MAX_GROUP_BATCHES: usize = 128;
 /// How long a stalled real-mode writer waits before giving up.
 const REAL_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Longest single wait of a stalled real-mode writer.
+const STALL_SLICE: Duration = Duration::from_millis(100);
+
 /// Wait slice for foreground threads blocked on background progress.
 const REAL_WAIT_SLICE: Duration = Duration::from_millis(20);
 
@@ -382,6 +388,14 @@ struct DbInner {
     controller: RwLock<WriteController>,
     /// `Some` in real-concurrency (wall clock) mode, `None` in simulation.
     runtime: Option<Runtime>,
+    /// Largest sequence number visible to readers. Published at the end
+    /// of each commit, read lock-free by `get`/`scan`.
+    visible_seq: std::sync::atomic::AtomicU64,
+    /// Sticky fatal error (a WAL append or sync that failed for good, or
+    /// a failed real-mode background job). Once set, writes and
+    /// maintenance calls fail with a clone of it rather than risk
+    /// acknowledging writes that recovery would drop.
+    fatal: Mutex<Option<Error>>,
     /// Number of live user-facing [`Db`] handles (workers hold `Weak`s).
     handles: std::sync::atomic::AtomicUsize,
     /// Background jobs retried (parked, not aborted) on transient errors.
@@ -423,6 +437,21 @@ impl DbInner {
     /// concurrent [`Db::set_options`] cannot interleave configs.
     fn opts(&self) -> Arc<Options> {
         Arc::clone(&self.opts.read())
+    }
+
+    /// Largest sequence visible to readers.
+    fn visible_seq(&self) -> SequenceNumber {
+        self.visible_seq.load(std::sync::atomic::Ordering::Acquire)
+    }
+
+    /// The sticky fatal error, if any.
+    fn fatal_error(&self) -> Option<Error> {
+        self.fatal.lock().clone()
+    }
+
+    /// Records a fatal error (first one wins).
+    fn set_fatal(&self, err: Error) {
+        self.fatal.lock().get_or_insert(err);
     }
 
     /// The current time in seconds for TTL stamping and expiry checks.
@@ -486,13 +515,10 @@ impl DbInner {
         let mem = Arc::clone(&state.mem);
         let imm = state.imm.iter().map(|e| Arc::clone(&e.mem)).collect();
         let version = Arc::clone(&state.version);
-        // Real mode: read the published watermark instead of last_seq,
-        // which may include a group still committing (its entries not
-        // yet in the memtable).
-        let visible = match &self.runtime {
-            Some(rt) => rt.visible_seq(),
-            None => state.last_seq,
-        };
+        // Read the published watermark instead of last_seq, which may
+        // include a group still committing (its entries not yet in the
+        // memtable) or one whose WAL append failed.
+        let visible = self.visible_seq();
         // An explicit snapshot can only look backwards: clamp it to the
         // visible watermark so a stale handle never reads uncommitted state.
         let snapshot = ropts.snapshot_seq.map_or(visible, |s| s.min(visible));
@@ -804,11 +830,8 @@ impl Db {
         } else {
             Self::create_fresh(&opts, vfs.as_ref())?
         };
-        let runtime = if env.clock().is_sim() {
-            None
-        } else {
-            Some(Runtime::new(state.last_seq))
-        };
+        let runtime = (!env.clock().is_sim()).then(Runtime::default);
+        let visible_seq = std::sync::atomic::AtomicU64::new(state.last_seq);
         let workers = opts.max_background_jobs.clamp(1, 16) as usize;
 
         // Best-effort: persist the effective config so `OPTIONS` always
@@ -833,6 +856,8 @@ impl Db {
                 opened_at: env.clock().now(),
                 controller: RwLock::new(controller),
                 runtime,
+                visible_seq,
+                fatal: Mutex::new(None),
                 handles: std::sync::atomic::AtomicUsize::new(1),
                 bg_retries: std::sync::atomic::AtomicU64::new(0),
                 wal_rotations: std::sync::atomic::AtomicU64::new(0),
@@ -862,11 +887,7 @@ impl Db {
     /// as [`ReadOptions::snapshot_seq`] to pin a consistent snapshot;
     /// cross-shard scans capture one per shard before reading any.
     pub fn snapshot_seq(&self) -> u64 {
-        let inner = &*self.inner;
-        match &inner.runtime {
-            Some(rt) => rt.visible_seq(),
-            None => inner.state.lock().last_seq,
-        }
+        self.inner.visible_seq()
     }
 
     /// Pins the current snapshot: until the returned guard drops, flush
@@ -915,9 +936,7 @@ impl Db {
         let DbState { manifest, .. } = &mut *state;
         inner.log_manifest(manifest, &record)?;
         state.last_seq = seq;
-        if let Some(rt) = &inner.runtime {
-            rt.publish_visible(seq);
-        }
+        inner.visible_seq.store(seq, std::sync::atomic::Ordering::Release);
         Ok(())
     }
 
@@ -1247,258 +1266,43 @@ impl Db {
 
     /// Applies a batch atomically.
     ///
-    /// In real-concurrency mode the batch joins the group-commit queue:
-    /// the first queued writer becomes leader, appends every queued
-    /// batch to the WAL with one write (and one sync, if any member
-    /// requested it), applies them to the memtable, and wakes the
-    /// followers. In simulation mode the write is applied inline under
-    /// the modeled costs.
+    /// The batch is encoded once (a `PreparedWrite`) and committed by
+    /// `DbInner::commit_group`, the one commit path of both modes: stall
+    /// check, sequence reservation, WAL append, WAL sync, memtable apply
+    /// and memtable-switch triggers. In real-concurrency mode the batch
+    /// first joins the group-commit queue, and the leader commits every
+    /// queued batch as one group (one WAL write, at most one sync). In
+    /// simulation mode the batch commits as a group of one on the calling
+    /// thread, and the modeled costs are charged to the virtual clock.
     ///
     /// # Errors
     ///
-    /// Propagates WAL/flush I/O errors and [`ErrorKind::Busy`](crate::ErrorKind) if the write
-    /// stall cannot clear.
+    /// Propagates WAL/flush I/O errors, the sticky error of a database
+    /// whose WAL failed for good, and [`ErrorKind::Busy`](crate::ErrorKind)
+    /// if the write stall cannot clear.
     pub fn write_opt(&self, write_opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
+        let inner = &*self.inner;
         let mut batch = batch;
         // While TTL is on, stamp puts with the write time; the stamp
         // travels through the WAL, group commit, and replication
         // verbatim (replay never re-stamps).
-        if self.inner.opts().ttl_seconds > 0 {
-            batch.stamp_puts(self.inner.now_secs());
+        if inner.opts().ttl_seconds > 0 {
+            batch.stamp_puts(inner.now_secs());
         }
-        let started = self.inner.env.clock().now();
-        let result = if self.inner.runtime.is_some() {
-            self.write_real(write_opts, batch)
-        } else {
-            self.write_sim(write_opts, batch)
+        let started = inner.env.clock().now();
+        let prepared = PreparedWrite::prepare(&batch, write_opts.sync);
+        let result = match &inner.runtime {
+            Some(rt) => inner.commit_queued(rt, prepared),
+            None => inner.commit_alone(prepared),
         };
-        self.inner.stats.record(
+        inner.stats.record(
             HistogramKind::DbWrite,
-            self.inner.env.clock().now().saturating_since(started),
+            inner.env.clock().now().saturating_since(started),
         );
         result
-    }
-
-    fn write_sim(&self, write_opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        let inner = &*self.inner;
-        let mut state = inner.state.lock();
-        let mut now = inner.env.clock().now();
-        inner.pump_events(&mut state, now)?;
-        inner.maybe_schedule_flush(&mut state, now)?;
-        inner.maybe_schedule_compaction(&mut state, now)?;
-
-        // Stall / slowdown loop.
-        let batch_bytes = batch.approximate_bytes() as u64;
-        let mut guard = 0;
-        loop {
-            guard += 1;
-            if guard > 100_000 {
-                return Err(Error::busy("write stall did not clear"));
-            }
-            let regime = inner.controller.read().regime(&inner.pressure(&state));
-            inner.note_regime(regime);
-            match regime {
-                WriteRegime::Normal => break,
-                WriteRegime::Delayed => {
-                    inner.stats.tickers().inc(Ticker::WriteSlowdowns);
-                    let delay = inner.controller.read().delay_for(batch_bytes);
-                    inner.env.clock().advance(delay);
-                    inner.stats.tickers().add(Ticker::StallNanos, delay.as_nanos());
-                    now = inner.env.clock().now();
-                    inner.pump_events(&mut state, now)?;
-                    break;
-                }
-                WriteRegime::Stopped => {
-                    inner.stats.tickers().inc(Ticker::WriteStops);
-                    // Schedule-then-wait: make sure any claimable relief
-                    // work is in flight *before* deciding whether to wait
-                    // or give up, so a queued background completion can
-                    // never race the guard into a spurious Busy.
-                    inner.maybe_schedule_flush(&mut state, now)?;
-                    inner.maybe_schedule_compaction(&mut state, now)?;
-                    let Some(next) = state.events.peek().map(|e| e.at) else {
-                        // Nothing in flight can relieve the stall; give
-                        // up on throttling rather than deadlock.
-                        break;
-                    };
-                    let wait = next.saturating_since(now);
-                    inner.env.clock().advance_to(next);
-                    inner.stats.tickers().add(Ticker::StallNanos, wait.as_nanos());
-                    now = inner.env.clock().now();
-                    inner.pump_events(&mut state, now)?;
-                    // The head event was consumed: that is real progress,
-                    // so the no-progress guard starts over.
-                    guard = 0;
-                }
-            }
-        }
-
-        // Assign sequence numbers.
-        let first_seq = state.last_seq + 1;
-        state.last_seq += batch.len() as u64;
-        let last_seq = state.last_seq;
-
-        // WAL append.
-        let mut cpu = inner.cost.write_base_cpu;
-        if !inner.opts().disable_wal {
-            let record = batch.encode(first_seq);
-            let record_len = record.len() as u64;
-            let wal = state.wal.as_mut().expect("wal enabled");
-            if let Err(e) = wal.add_record(&record) {
-                if e.is_retryable() {
-                    // The append is atomic at the VFS layer, so a transient
-                    // failure left the log at a clean frame boundary: rotate
-                    // to a fresh WAL and fail only this write.
-                    inner.rotate_wal(&mut state)?;
-                }
-                return Err(e);
-            }
-            inner.stats.tickers().add(Ticker::WalBytes, record_len);
-            inner.stats.tickers().inc(Ticker::WalWrites);
-            if let Some(sink) = &inner.wal_sink {
-                sink.ship(first_seq, last_seq, write_opts.sync, &[&record]);
-            }
-            cpu += inner.cost.wal_record_cpu
-                + SimDuration::from_nanos(
-                    (record_len as f64 * inner.cost.wal_per_byte_cpu_ns) as u64,
-                );
-            // Incremental WAL syncing (wal_bytes_per_sync) or OS writeback.
-            let per_sync = inner.opts().wal_bytes_per_sync;
-            if write_opts.sync {
-                // Durable write: the foreground blocks on the device sync.
-                let chunk = wal.bytes_since_sync();
-                wal.sync()?;
-                let done = inner.env.device().submit_write(now, chunk, AccessPattern::Sequential);
-                let done = inner.env.device().submit_sync(done);
-                inner.env.clock().advance_to(done);
-                inner.stats.tickers().inc(Ticker::WalSyncs);
-                if let Some(sink) = &inner.wal_sink {
-                    sink.wait_durable(last_seq);
-                }
-            } else if per_sync > 0 && wal.bytes_since_sync() >= per_sync {
-                let chunk = wal.bytes_since_sync();
-                wal.sync()?;
-                let done = inner.env.device().submit_write(now, chunk, AccessPattern::Sequential);
-                inner.stats.tickers().inc(Ticker::WalSyncs);
-                if inner.opts().strict_bytes_per_sync {
-                    inner.env.clock().advance_to(done);
-                }
-            } else if per_sync == 0 {
-                state.dirty_wal_bytes += record_len;
-                if state.dirty_wal_bytes >= inner.cost.os_writeback_burst {
-                    // The OS flushes a big burst of dirty pages; it does
-                    // not block the writer but hogs the device.
-                    inner.env.device().submit_write(
-                        now,
-                        state.dirty_wal_bytes,
-                        AccessPattern::Sequential,
-                    );
-                    state.dirty_wal_bytes = 0;
-                    inner.stats.tickers().inc(Ticker::WalSyncs);
-                }
-            }
-        }
-
-        // Memtable insert.
-        let mut inserted_bytes = 0u64;
-        for (i, (ty, key, value)) in batch.iter().enumerate() {
-            state.mem.add(first_seq + i as u64, ty, key, value);
-            inserted_bytes += (key.len() + value.len()) as u64;
-        }
-        inner.stats.tickers().add(Ticker::KeysWritten, batch.len() as u64);
-        inner.stats.tickers().add(Ticker::BytesWritten, inserted_bytes);
-        cpu += SimDuration::from_nanos(
-            (inserted_bytes as f64 * inner.cost.write_per_byte_cpu_ns) as u64,
-        );
-
-        // Pipelining and concurrency-control modifiers.
-        let mut factor = 1.0;
-        if inner.opts().enable_pipelined_write {
-            factor *= if inner.env.cpu().num_cores() >= 4 { 0.88 } else { 1.05 };
-        }
-        if !inner.opts().allow_concurrent_memtable_write {
-            factor *= 0.98; // single-writer skips the coordination
-        }
-        factor *= inner.foreground_contention(now);
-        factor *= inner.env.memory().penalty_factor();
-        inner.env.clock().advance(cpu.mul_f64(factor));
-
-        // Memtable switch triggers.
-        let mem_bytes = state.mem.approximate_memory_usage() as u64;
-        let wal_total: u64 = state.wal.as_ref().map(|w| w.bytes_written()).unwrap_or(0);
-        let db_buffer_full = inner.opts().db_write_buffer_size > 0
-            && mem_bytes + state.imm_bytes() > inner.opts().db_write_buffer_size;
-        if mem_bytes >= inner.opts().write_buffer_size
-            || wal_total >= inner.opts().effective_max_total_wal_size()
-            || db_buffer_full
-        {
-            inner.switch_memtable(&mut state)?;
-            let now = inner.env.clock().now();
-            inner.maybe_schedule_flush(&mut state, now)?;
-        }
-
-        state.writes_since_account += 1;
-        if state.writes_since_account >= 1024 {
-            state.writes_since_account = 0;
-            inner.account_memory(&state);
-        }
-        Ok(())
-    }
-
-    /// Real-concurrency write: joins the group-commit queue. The first
-    /// writer to find no active leader drains the queue front and
-    /// commits the whole group; everyone else waits on the condvar for
-    /// their id to pass the completion watermark.
-    fn write_real(&self, write_opts: &WriteOptions, batch: WriteBatch) -> Result<()> {
-        let inner = &*self.inner;
-        let rt = inner.runtime.as_ref().expect("real mode");
-        if let Some(e) = rt.fatal_error() {
-            return Err(e);
-        }
-        // Without concurrent memtable writes, commit strictly one batch
-        // at a time (the queue still serializes leaders).
-        let max_group = if inner.opts().allow_concurrent_memtable_write {
-            MAX_GROUP_BATCHES
-        } else {
-            1
-        };
-        let prepared = PreparedWrite::prepare(&batch, write_opts.sync);
-        let mut queue = rt.commit.lock();
-        let id = queue.next_id;
-        queue.next_id += 1;
-        queue.pending.push_back((id, prepared));
-        loop {
-            if queue.completed > id {
-                return match queue.take_failure(id) {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                };
-            }
-            if queue.leader_active {
-                rt.commit_cv.wait(&mut queue);
-                continue;
-            }
-            queue.leader_active = true;
-            let take = queue.pending.len().min(max_group);
-            let mut group: Vec<(u64, PreparedWrite)> = queue.pending.drain(..take).collect();
-            drop(queue);
-            let result = inner.commit_group(rt, &mut group);
-            queue = rt.commit.lock();
-            let last_id = group.last().expect("leader drained at least one").0;
-            if let Err(e) = &result {
-                for (gid, _) in &group {
-                    queue.failures.push((*gid, e.clone()));
-                }
-            }
-            queue.completed = last_id + 1;
-            queue.leader_active = false;
-            rt.commit_cv.notify_all();
-            // This writer's own batch may not have been in the group it
-            // led (group size capped); if so, go around again.
-        }
     }
 
     // -----------------------------------------------------------------
@@ -2038,21 +1842,10 @@ impl Db {
         let mut out = String::new();
 
         // -- DB Stats ---------------------------------------------------
-        // In real mode the leader appends a whole group with one vectored
-        // WAL write, so `WalWrites` counts groups, not user writes;
-        // `GroupCommitBatches` carries the user-write count there. Sim
-        // mode commits each write individually (`GroupCommitBatches`
-        // stays 0), so the WAL append count *is* the write count.
         let wal_writes = t.get(Ticker::WalWrites);
-        let writes = match t.get(Ticker::GroupCommitBatches) {
-            0 => wal_writes,
-            b => b,
-        };
+        let writes = t.get(Ticker::GroupCommitBatches);
         let keys = t.get(Ticker::KeysWritten);
-        let groups = match t.get(Ticker::GroupCommits) {
-            0 => writes,
-            g => g,
-        };
+        let groups = t.get(Ticker::GroupCommits);
         let ingest = t.get(Ticker::BytesWritten);
         let wal_bytes = t.get(Ticker::WalBytes);
         let wal_syncs = t.get(Ticker::WalSyncs);
@@ -2472,28 +2265,38 @@ impl DbInner {
     /// frame), so retrying it cannot duplicate an edit; a failed sync
     /// persisted nothing, so re-syncing is always safe.
     fn log_manifest(&self, manifest: &mut WalWriter, record: &[u8]) -> Result<()> {
+        let resyncs = &self.manifest_resyncs;
+        self.retry_transient(MANIFEST_RETRIES, resyncs, false, || manifest.add_record(record))?;
+        self.retry_transient(MANIFEST_RETRIES, resyncs, false, || manifest.sync())
+    }
+
+    /// Runs `op`, re-driving it up to `retries` times while it fails with
+    /// a transient (retryable) error. Each retry bumps `counter` and,
+    /// with `backoff`, first waits `2^attempt` ms (sim: on the virtual
+    /// clock).
+    fn retry_transient<T>(
+        &self,
+        retries: u32,
+        counter: &std::sync::atomic::AtomicU64,
+        backoff: bool,
+        mut op: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
         let mut attempts = 0u32;
         loop {
-            match manifest.add_record(record) {
-                Ok(_) => break,
-                Err(e) if e.is_retryable() && attempts < MANIFEST_RETRIES => {
+            match op() {
+                Err(e) if e.is_retryable() && attempts < retries => {
                     attempts += 1;
-                    self.manifest_resyncs
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    let pause = Duration::from_millis(1 << attempts);
+                    match (backoff, &self.runtime) {
+                        (false, _) => {}
+                        (true, None) => self.env.clock().advance(SimDuration::from_nanos(
+                            pause.as_nanos() as u64,
+                        )),
+                        (true, Some(_)) => std::thread::sleep(pause),
+                    }
                 }
-                Err(e) => return Err(e),
-            }
-        }
-        let mut attempts = 0u32;
-        loop {
-            match manifest.sync() {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() && attempts < MANIFEST_RETRIES => {
-                    attempts += 1;
-                    self.manifest_resyncs
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                Err(e) => return Err(e),
+                result => return result,
             }
         }
     }
@@ -2540,23 +2343,93 @@ impl DbInner {
     }
 
     // -----------------------------------------------------------------
-    // Real-concurrency mode: group commit
+    // Write path: one commit_group for both modes
     // -----------------------------------------------------------------
 
-    /// Commits a leader-drained group: one stall check, one sequence
-    /// reservation, one WAL append (and at most one sync), one memtable
-    /// application, all under a single state critical section. The
-    /// caller releases the group's writers once this returns.
-    fn commit_group(&self, rt: &Runtime, group: &mut [(u64, PreparedWrite)]) -> Result<()> {
+    /// Sim mode: commits the write as a group of one on the calling
+    /// thread, after installing the background events due by now and
+    /// starting any claimable work.
+    fn commit_alone(&self, mut prepared: PreparedWrite) -> Result<()> {
         let mut state = self.state.lock();
-        let group_bytes: u64 = group.iter().map(|(_, p)| p.record.len() as u64).sum();
-        self.real_wait_writable(rt, &mut state, group_bytes)?;
+        let now = self.env.clock().now();
+        self.pump_events(&mut state, now)?;
+        self.maybe_schedule_flush(&mut state, now)?;
+        self.maybe_schedule_compaction(&mut state, now)?;
+        self.commit_group(state, std::slice::from_mut(&mut prepared))
+    }
 
-        // Reserve sequences and stamp them into the prepared batches.
+    /// Real mode: joins the commit queue. The first writer to find no
+    /// active leader drains the queue front and commits it as one group;
+    /// everyone else waits for their id to pass the completion watermark.
+    fn commit_queued(&self, rt: &Runtime, prepared: PreparedWrite) -> Result<()> {
+        // Without concurrent memtable writes, commit strictly one batch
+        // at a time (the queue still serializes leaders).
+        let max_group = if self.opts().allow_concurrent_memtable_write {
+            MAX_GROUP_BATCHES
+        } else {
+            1
+        };
+        let mut queue = rt.commit.lock();
+        let id = queue.next_id;
+        queue.next_id += 1;
+        queue.pending.push_back(prepared);
+        loop {
+            if queue.completed > id {
+                return queue.take_failure(id).map_or(Ok(()), Err);
+            }
+            if queue.leader_active {
+                rt.commit_cv.wait(&mut queue);
+                continue;
+            }
+            queue.leader_active = true;
+            let first_id = queue.next_id - queue.pending.len() as u64;
+            let take = queue.pending.len().min(max_group);
+            let mut group: Vec<PreparedWrite> = queue.pending.drain(..take).collect();
+            drop(queue);
+            let result = self.commit_group(self.state.lock(), &mut group);
+            queue = rt.commit.lock();
+            let end_id = first_id + take as u64;
+            if let Err(e) = &result {
+                queue.failures.extend((first_id..end_id).map(|gid| (gid, e.clone())));
+            }
+            queue.completed = end_id;
+            queue.leader_active = false;
+            rt.commit_cv.notify_all();
+            // This writer's own batch may not have been in the group it
+            // led (group size capped); if so, go around again.
+        }
+    }
+
+    /// Commits a group of prepared writes, in both modes, under one state
+    /// critical section:
+    ///
+    /// 1. wait while the write controller slows or stops writes;
+    /// 2. reserve the group's sequence numbers;
+    /// 3. append every record to the WAL with one write;
+    /// 4. sync the WAL if a member asked for it or `wal_bytes_per_sync`
+    ///    is due;
+    /// 5. apply the records to the memtable and publish them to readers
+    ///    (before the sync under `enable_pipelined_write`);
+    /// 6. switch a full memtable and account memory.
+    ///
+    /// Sim mode also charges the commit's modeled CPU to the virtual
+    /// clock. Replica durability is awaited after the lock is released.
+    fn commit_group(
+        &self,
+        mut state: MutexGuard<'_, DbState>,
+        group: &mut [PreparedWrite],
+    ) -> Result<()> {
+        if let Some(e) = self.fatal_error() {
+            return Err(e);
+        }
+        let opts = self.opts();
+        self.wait_writable(&mut state, group.iter().map(|p| p.approximate_bytes).sum())?;
+        let now = self.env.clock().now();
+
         let first_seq = state.last_seq + 1;
         let mut seq = first_seq;
         let mut group_sync = false;
-        for (_, prepared) in group.iter_mut() {
+        for prepared in group.iter_mut() {
             prepared.patch_seq(seq);
             seq += prepared.count;
             group_sync |= prepared.sync;
@@ -2564,15 +2437,14 @@ impl DbInner {
         let last_seq = seq - 1;
         state.last_seq = last_seq;
 
-        // One buffered append for the whole group. The append is atomic
-        // at the VFS layer, so a *transient* failure leaves the log at a
-        // clean frame boundary: rotate to a fresh WAL, fail only this
-        // group, and keep the database alive. Anything else is fatal —
-        // later appends after a torn record would be silently dropped by
-        // recovery. A failed group publishes nothing; readers simply
-        // skip the abandoned sequence range.
-        if !self.opts().disable_wal {
-            let records: Vec<&[u8]> = group.iter().map(|(_, p)| p.record.as_slice()).collect();
+        // The append is atomic at the VFS layer, so a *transient* failure
+        // leaves the log at a clean frame boundary: rotate to a fresh
+        // WAL, fail only this group, and keep the database alive.
+        // Anything else is fatal — later appends after a torn record
+        // would be silently dropped by recovery. A failed group publishes
+        // nothing; readers simply skip the abandoned sequence range.
+        if !opts.disable_wal {
+            let records: Vec<&[u8]> = group.iter().map(|p| p.record.as_slice()).collect();
             let wal = state.wal.as_mut().expect("wal enabled");
             match wal.add_records(&records) {
                 Ok(appended) => {
@@ -2583,87 +2455,51 @@ impl DbInner {
                         sink.ship(first_seq, last_seq, group_sync, &records);
                     }
                 }
-                Err(e) if e.is_retryable() => {
-                    if let Err(rot) = self.rotate_wal(&mut state) {
-                        rt.set_fatal(rot);
+                Err(e) => {
+                    if !e.is_retryable() {
+                        self.set_fatal(e.clone());
+                    } else if let Err(rotate) = self.rotate_wal(&mut state) {
+                        self.set_fatal(rotate);
                     }
                     return Err(e);
                 }
-                Err(e) => {
-                    rt.set_fatal(e.clone());
-                    return Err(e);
-                }
             }
         }
 
-        if self.opts().enable_pipelined_write {
-            // Pipelined visibility: entries become visible before the
-            // sync returns (visibility before durability, as in RocksDB).
-            self.apply_group_to_memtable(&state, group);
-            rt.publish_visible(last_seq);
-            self.real_sync_wal(rt, &mut state, group_sync)?;
+        let record_bytes = group.iter().map(|p| p.record.len() as u64).sum();
+        if opts.enable_pipelined_write {
+            // Visibility before durability, as in RocksDB.
+            self.apply_to_memtable(&state, group, last_seq);
+            self.sync_wal(&mut state, now, group_sync, record_bytes)?;
         } else {
-            self.real_sync_wal(rt, &mut state, group_sync)?;
-            self.apply_group_to_memtable(&state, group);
-            rt.publish_visible(last_seq);
+            self.sync_wal(&mut state, now, group_sync, record_bytes)?;
+            self.apply_to_memtable(&state, group, last_seq);
         }
         self.stats.tickers().inc(Ticker::GroupCommits);
         self.stats.tickers().add(Ticker::GroupCommitBatches, group.len() as u64);
-        self.real_post_commit(rt, &mut state, group.len() as u64)?;
+        if self.runtime.is_none() {
+            self.charge_commit_cpu(now, group, &opts);
+        }
+        self.post_commit(&mut state, group.len() as u64)?;
         drop(state);
-        // Replica durability before the ack, with the engine state lock
+        // Replica durability before the ack, with the state lock
         // released: the wait spans a follower network round trip (and,
         // for a dying follower, the sink's full ack timeout), which must
-        // not stall readers or background work. The caller releases this
-        // group's writers only after commit_group returns, so the ack
-        // still happens-after replica durability.
-        if group_sync {
-            if let Some(sink) = &self.wal_sink {
-                sink.wait_durable(last_seq);
-            }
+        // not stall readers or background work. Writers are released
+        // only after this returns, so the ack still happens-after it.
+        if let (true, Some(sink)) = (group_sync, &self.wal_sink) {
+            sink.wait_durable(last_seq);
         }
         Ok(())
     }
 
-    /// Memtable switch triggers and periodic memory accounting after a
-    /// commit group (mirrors the sim write path).
-    fn real_post_commit(
-        &self,
-        rt: &Runtime,
-        state: &mut MutexGuard<'_, DbState>,
-        batches: u64,
-    ) -> Result<()> {
-        let mem_bytes = state.mem.approximate_memory_usage() as u64;
-        let wal_total: u64 = state.wal.as_ref().map(|w| w.bytes_written()).unwrap_or(0);
-        let db_buffer_full = self.opts().db_write_buffer_size > 0
-            && mem_bytes + state.imm_bytes() > self.opts().db_write_buffer_size;
-        if mem_bytes >= self.opts().write_buffer_size
-            || wal_total >= self.opts().effective_max_total_wal_size()
-            || db_buffer_full
-        {
-            if let Err(e) = self.switch_memtable(state) {
-                rt.set_fatal(e.clone());
-                return Err(e);
-            }
-            rt.bg.kick();
-        }
-
-        state.writes_since_account += batches;
-        if state.writes_since_account >= 1024 {
-            state.writes_since_account = 0;
-            self.account_memory(state);
-        }
-        Ok(())
-    }
-
-    /// Blocks the leader while the write controller reports pressure,
-    /// waiting on background-completion signals instead of spinning.
-    fn real_wait_writable(
-        &self,
-        rt: &Runtime,
-        state: &mut MutexGuard<'_, DbState>,
-        group_bytes: u64,
-    ) -> Result<()> {
+    /// Commit step 1: holds the group back while the write controller
+    /// slows or stops writes. Regime decisions and stall tickers are
+    /// shared; only the waits depend on the mode. A delayed write waits
+    /// once (sim charges the delay to the virtual clock, real waits on
+    /// completions for at most that long); a stopped one waits on
+    /// background progress until the regime lifts.
+    fn wait_writable(&self, state: &mut MutexGuard<'_, DbState>, bytes: u64) -> Result<()> {
         let mut stopped_for = Duration::ZERO;
         loop {
             let regime = self.controller.read().regime(&self.pressure(state));
@@ -2672,27 +2508,38 @@ impl DbInner {
                 WriteRegime::Normal => return Ok(()),
                 WriteRegime::Delayed => {
                     self.stats.tickers().inc(Ticker::WriteSlowdowns);
-                    rt.bg.kick();
-                    let delay = Duration::from_nanos(
-                        self.controller.read().delay_for(group_bytes).as_nanos(),
-                    )
-                    .min(Duration::from_millis(100));
-                    let start = std::time::Instant::now();
-                    rt.done_cv.wait_for(state, delay);
-                    self.stats
-                        .tickers()
-                        .add(Ticker::StallNanos, start.elapsed().as_nanos() as u64);
+                    let delay = self.controller.read().delay_for(bytes);
+                    let waited = match &self.runtime {
+                        Some(_) => {
+                            let slice = Duration::from_nanos(delay.as_nanos()).min(STALL_SLICE);
+                            self.wait_for_progress(state, slice)?.unwrap_or_default()
+                        }
+                        None => {
+                            self.env.clock().advance(delay);
+                            self.pump_events(state, self.env.clock().now())?;
+                            Duration::from_nanos(delay.as_nanos())
+                        }
+                    };
+                    self.stats.tickers().add(Ticker::StallNanos, waited.as_nanos() as u64);
                     return Ok(());
                 }
                 WriteRegime::Stopped => {
                     self.stats.tickers().inc(Ticker::WriteStops);
-                    if stopped_for >= REAL_STALL_TIMEOUT {
+                    if self.runtime.is_none() {
+                        // Schedule-then-wait: any claimable relief work is
+                        // in flight before deciding whether to wait.
+                        let now = self.env.clock().now();
+                        self.maybe_schedule_flush(state, now)?;
+                        self.maybe_schedule_compaction(state, now)?;
+                    } else if stopped_for >= REAL_STALL_TIMEOUT {
                         return Err(Error::busy("write stall did not clear"));
                     }
-                    rt.bg.kick();
-                    let start = std::time::Instant::now();
-                    rt.done_cv.wait_for(state, Duration::from_millis(100));
-                    let waited = start.elapsed();
+                    let Some(waited) = self.wait_for_progress(state, STALL_SLICE)?
+                    else {
+                        // Nothing in flight can relieve the stall; give
+                        // up on throttling rather than deadlock.
+                        return Ok(());
+                    };
                     stopped_for += waited;
                     self.stats.tickers().add(Ticker::StallNanos, waited.as_nanos() as u64);
                 }
@@ -2700,50 +2547,137 @@ impl DbInner {
         }
     }
 
-    /// Syncs the WAL if the group asked for it (or `wal_bytes_per_sync`
-    /// is due). A failed sync persisted nothing, so transient errors are
-    /// re-driven a bounded number of times; a persistent failure is
-    /// fatal: the writes were already acknowledged as appended.
-    fn real_sync_wal(&self, rt: &Runtime, state: &mut DbState, group_sync: bool) -> Result<()> {
-        if self.opts().disable_wal {
+    /// Commit step 4: syncs the WAL when the group asked for it or
+    /// `wal_bytes_per_sync` is due. A failed sync persisted nothing, so
+    /// transient errors are re-driven a bounded number of times with
+    /// backoff; a persistent failure is fatal, since the group's records
+    /// are already in the log. Sim mode charges the device from `now`:
+    /// the sync's write (and, for a durable write, the flush the writer
+    /// waits out), or else, with `wal_bytes_per_sync = 0`, the OS
+    /// writeback burst that dirty WAL pages trigger, which hogs the
+    /// device without blocking the writer.
+    fn sync_wal(
+        &self,
+        state: &mut DbState,
+        now: SimTime,
+        group_sync: bool,
+        record_bytes: u64,
+    ) -> Result<()> {
+        let opts = self.opts();
+        let Some(wal) = state.wal.as_mut().filter(|_| !opts.disable_wal) else {
             return Ok(());
-        }
-        let per_sync = self.opts().wal_bytes_per_sync;
-        let wal = state.wal.as_mut().expect("wal enabled");
-        if group_sync || (per_sync > 0 && wal.bytes_since_sync() >= per_sync) {
-            let mut attempts = 0u32;
-            loop {
-                match wal.sync() {
-                    Ok(()) => break,
-                    Err(e) if e.is_retryable() && attempts < WAL_SYNC_RETRIES => {
-                        attempts += 1;
-                        self.wal_sync_retries
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_millis(1 << attempts));
-                    }
-                    Err(e) => {
-                        rt.set_fatal(e.clone());
-                        return Err(e);
-                    }
+        };
+        let sim = self.runtime.is_none();
+        let chunk = wal.bytes_since_sync();
+        let per_sync = opts.wal_bytes_per_sync;
+        if !group_sync && (per_sync == 0 || chunk < per_sync) {
+            if sim && per_sync == 0 {
+                state.dirty_wal_bytes += record_bytes;
+                if state.dirty_wal_bytes >= self.cost.os_writeback_burst {
+                    let burst = std::mem::take(&mut state.dirty_wal_bytes);
+                    self.env.device().submit_write(now, burst, AccessPattern::Sequential);
+                    self.stats.tickers().inc(Ticker::WalSyncs);
                 }
             }
-            self.stats.tickers().inc(Ticker::WalSyncs);
+            return Ok(());
+        }
+        let retries = &self.wal_sync_retries;
+        if let Err(e) = self.retry_transient(WAL_SYNC_RETRIES, retries, true, || wal.sync()) {
+            self.set_fatal(e.clone());
+            return Err(e);
+        }
+        self.stats.tickers().inc(Ticker::WalSyncs);
+        if sim {
+            let mut done = self.env.device().submit_write(now, chunk, AccessPattern::Sequential);
+            if group_sync {
+                done = self.env.device().submit_sync(done);
+            }
+            if group_sync || opts.strict_bytes_per_sync {
+                self.env.clock().advance_to(done);
+            }
         }
         Ok(())
     }
 
-    /// Replays a group's prepared records into the active memtable.
-    fn apply_group_to_memtable(&self, state: &DbState, group: &[(u64, PreparedWrite)]) {
-        let mut keys = 0u64;
-        let mut payload = 0u64;
+    /// Commit step 5: replays the group into the active memtable and
+    /// publishes it to readers.
+    fn apply_to_memtable(&self, state: &DbState, group: &[PreparedWrite], last: SequenceNumber) {
         let mut scratch = Vec::new();
-        for (_, prepared) in group.iter() {
-            keys += prepared.count;
-            payload += prepared.payload_bytes;
+        for prepared in group {
             prepared.apply_to(&state.mem, &mut scratch);
         }
-        self.stats.tickers().add(Ticker::KeysWritten, keys);
-        self.stats.tickers().add(Ticker::BytesWritten, payload);
+        let tickers = self.stats.tickers();
+        tickers.add(Ticker::KeysWritten, group.iter().map(|p| p.count).sum());
+        tickers.add(Ticker::BytesWritten, group.iter().map(|p| p.payload_bytes).sum());
+        self.visible_seq
+            .store(last, std::sync::atomic::Ordering::Release);
+    }
+
+    /// Commit step 6: switches the memtable once it, the WAL or the whole
+    /// write buffer is full, and hands the new immutable memtable to the
+    /// flushers (sim schedules the flush, real kicks the pool); accounts
+    /// memory every 1024 writes.
+    fn post_commit(&self, state: &mut DbState, batches: u64) -> Result<()> {
+        let opts = self.opts();
+        let mem_bytes = state.mem.approximate_memory_usage() as u64;
+        let wal_total: u64 = state.wal.as_ref().map(|w| w.bytes_written()).unwrap_or(0);
+        let db_buffer_full = opts.db_write_buffer_size > 0
+            && mem_bytes + state.imm_bytes() > opts.db_write_buffer_size;
+        if mem_bytes >= opts.write_buffer_size
+            || wal_total >= opts.effective_max_total_wal_size()
+            || db_buffer_full
+        {
+            if let Err(e) = self.switch_memtable(state) {
+                self.set_fatal(e.clone());
+                return Err(e);
+            }
+            match &self.runtime {
+                Some(rt) => rt.bg.kick(),
+                // The write is committed whatever its flush does: a failed
+                // build released its claim, so the next scheduling pass
+                // claims the flush again and reports the error there, the
+                // way the real pool retries it.
+                None => {
+                    let _ = self.maybe_schedule_flush(state, self.env.clock().now());
+                }
+            }
+        }
+        state.writes_since_account += batches;
+        if state.writes_since_account >= 1024 {
+            state.writes_since_account = 0;
+            self.account_memory(state);
+        }
+        Ok(())
+    }
+
+    /// Sim cost hook: the commit's foreground CPU (per record and per
+    /// byte for the WAL and the memtable insert), scaled by the pipelined
+    /// and concurrent-write factors, background contention at `now` and
+    /// the memory penalty, charged to the virtual clock.
+    fn charge_commit_cpu(&self, now: SimTime, group: &[PreparedWrite], opts: &Options) {
+        let cost = &self.cost;
+        let mut cpu = SimDuration::ZERO;
+        for prepared in group {
+            cpu += cost.write_base_cpu;
+            if !opts.disable_wal {
+                let record_len = prepared.record.len() as f64;
+                cpu += cost.wal_record_cpu
+                    + SimDuration::from_nanos((record_len * cost.wal_per_byte_cpu_ns) as u64);
+            }
+            cpu += SimDuration::from_nanos(
+                (prepared.payload_bytes as f64 * cost.write_per_byte_cpu_ns) as u64,
+            );
+        }
+        let mut factor = 1.0;
+        if opts.enable_pipelined_write {
+            factor *= if self.env.cpu().num_cores() >= 4 { 0.88 } else { 1.05 };
+        }
+        if !opts.allow_concurrent_memtable_write {
+            factor *= 0.98; // single-writer skips the coordination
+        }
+        factor *= self.foreground_contention(now);
+        factor *= self.env.memory().penalty_factor();
+        self.env.clock().advance(cpu.mul_f64(factor));
     }
 
     // -----------------------------------------------------------------
@@ -3068,10 +3002,10 @@ impl DbInner {
         }
     }
 
-    /// Blocks until `done` holds for the state. Real mode kicks the pool
-    /// and waits on background completions. Sim mode installs the events
-    /// due by now, lets `schedule` start work, and advances virtual time
-    /// to the next completion; it also returns once nothing is in flight.
+    /// Blocks until `done` holds for the state, failing with the sticky
+    /// fatal error if one is latched. Sim mode installs the events due by
+    /// now and lets `schedule` start work before each check; it also
+    /// returns once nothing is in flight.
     fn wait_until(
         &self,
         state: &mut MutexGuard<'_, DbState>,
@@ -3079,28 +3013,42 @@ impl DbInner {
         done: impl Fn(&DbState) -> bool,
     ) -> Result<()> {
         loop {
-            if let Some(rt) = &self.runtime {
-                if let Some(e) = rt.fatal_error() {
-                    return Err(e);
-                }
-                if done(state) {
-                    return Ok(());
-                }
-                rt.bg.kick();
-                rt.done_cv.wait_for(state, REAL_WAIT_SLICE);
-                continue;
+            if let Some(e) = self.fatal_error() {
+                return Err(e);
             }
-            let now = self.env.clock().now();
-            self.pump_events(state, now)?;
-            schedule(state, now)?;
-            if done(state) {
+            if self.runtime.is_none() {
+                let now = self.env.clock().now();
+                self.pump_events(state, now)?;
+                schedule(state, now)?;
+            }
+            if done(state) || self.wait_for_progress(state, REAL_WAIT_SLICE)?.is_none() {
                 return Ok(());
             }
-            let Some(next) = state.events.peek().map(|e| e.at) else {
-                return Ok(());
-            };
-            self.env.clock().advance_to(next);
         }
+    }
+
+    /// Waits once for background progress and returns how long it took.
+    /// Sim mode advances virtual time to the next completion and installs
+    /// what is due (`None` when nothing is in flight); real mode kicks the
+    /// pool and waits on completions for at most `slice`.
+    fn wait_for_progress(
+        &self,
+        state: &mut MutexGuard<'_, DbState>,
+        slice: Duration,
+    ) -> Result<Option<Duration>> {
+        if let Some(rt) = &self.runtime {
+            rt.bg.kick();
+            let start = std::time::Instant::now();
+            rt.done_cv.wait_for(state, slice);
+            return Ok(Some(start.elapsed()));
+        }
+        let Some(next) = state.events.peek().map(|e| e.at) else {
+            return Ok(None);
+        };
+        let waited = next.saturating_since(self.env.clock().now());
+        self.env.clock().advance_to(next);
+        self.pump_events(state, self.env.clock().now())?;
+        Ok(Some(Duration::from_nanos(waited.as_nanos())))
     }
 
     // -----------------------------------------------------------------
@@ -3116,7 +3064,7 @@ impl DbInner {
         while !rt.bg.is_shutdown() {
             // Once the database is latched fatal, re-claiming work would
             // spin on the same failing job; leave everything parked.
-            if rt.fatal_error().is_some() {
+            if self.fatal_error().is_some() {
                 break;
             }
             // Sharded databases share one global job budget: take a permit
@@ -3154,7 +3102,7 @@ impl DbInner {
                         1u64 << consecutive_failures.min(6),
                     ));
                 }
-                Err(e) => rt.set_fatal(e),
+                Err(e) => self.set_fatal(e),
             }
             jobs_run += 1;
             // Completion may unblock stalled writers and unlock further

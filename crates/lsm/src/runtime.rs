@@ -1,18 +1,19 @@
-//! Real-concurrency runtime: group-commit plumbing and the background
-//! job pool's shared signalling state.
+//! Real-concurrency runtime: the commit queue, the condvars and the
+//! background worker pool.
 //!
-//! In simulation mode the engine is single-threaded and background work
-//! runs eagerly on the foreground thread with its effects installed at
-//! virtual instants. When a [`Db`](crate::Db) is opened against a wall
-//! clock (see `Db::builder` with a non-sim `HardwareEnv`), it instead gets a
-//! `Runtime`: writers coalesce through a leader-based commit queue, and a
-//! pool of OS worker threads executes flushes and compactions off the
-//! foreground path.
+//! In simulation mode the engine is single-threaded: each write commits
+//! as a group of one on the calling thread, and background work runs
+//! eagerly with its effects installed at virtual instants. When a
+//! [`Db`](crate::Db) is opened against a wall clock (see `Db::builder`
+//! with a non-sim `HardwareEnv`), it also gets a `Runtime`: writers
+//! coalesce through a leader-based commit queue, and a pool of OS worker
+//! threads executes flushes and compactions off the foreground path.
 //!
-//! The types here are deliberately free of engine logic: the commit
-//! protocol and the job claim/install steps live in `db.rs` where the
-//! engine state is. This module owns the queueing, signalling, and
-//! lifecycle (worker spawn/join) mechanics.
+//! The types here are deliberately free of engine logic: the commit steps
+//! and the job claim/build/install steps live in `db.rs`, shared by both
+//! modes, and the WAL record format lives in `batch.rs`. This module owns
+//! only the queueing, signalling, and lifecycle (worker spawn/join)
+//! mechanics.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,128 +23,20 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::batch::WriteBatch;
+use crate::batch::PreparedWrite;
 use crate::error::Error;
-use crate::memtable::MemTable;
-use crate::types::{SequenceNumber, ValueType};
-
-/// Where one operation's key and value bytes sit inside a prepared WAL
-/// record. Spans are plain offsets, so a prepared batch carries no owned
-/// per-entry buffers: appliers read straight out of the record.
-#[derive(Clone, Copy)]
-pub(crate) struct EntrySpan {
-    key_at: u32,
-    key_len: u32,
-    value_at: u32,
-    value_len: u32,
-    ty: ValueType,
-}
-
-/// A write batch pre-encoded by the submitting thread.
-///
-/// Everything sequence-independent is done before joining the commit
-/// queue: the WAL record is serialized with a zero placeholder in its
-/// first-sequence header, and each operation's key/value position inside
-/// the record is captured as an [`EntrySpan`]. The group leader only
-/// patches the record's sequence header and replays the spans into the
-/// memtable, with no per-entry buffers of its own.
-pub(crate) struct PreparedWrite {
-    /// WAL record (batch encoding) with `first_seq = 0` placeholder.
-    pub record: Vec<u8>,
-    /// Per-operation byte positions inside `record`.
-    entries: Vec<EntrySpan>,
-    /// First sequence assigned to this batch; stamped by `patch_seq`.
-    first_seq: SequenceNumber,
-    /// Number of operations in the batch.
-    pub count: u64,
-    /// Total user key + value bytes (ticker accounting).
-    pub payload_bytes: u64,
-    /// Whether this write requested a durable WAL sync.
-    pub sync: bool,
-}
-
-impl PreparedWrite {
-    /// Encodes `batch` for commit. CRC framing happens later inside the
-    /// WAL writer, so patching the sequence header afterwards is safe.
-    pub fn prepare(batch: &WriteBatch, sync: bool) -> PreparedWrite {
-        let record = batch.encode(0);
-        let mut entries = Vec::with_capacity(batch.len());
-        let mut payload_bytes = 0u64;
-        // Mirror the encoding walk (`WriteBatch::encode`): 12-byte header,
-        // then `u8 type | varint klen | key | varint vlen | value` per op.
-        let mut pos = 12usize;
-        for (ty, key, value) in batch.iter() {
-            payload_bytes += (key.len() + value.len()) as u64;
-            pos += 1 + varint32_len(key.len() as u32);
-            let key_at = pos as u32;
-            pos += key.len() + varint32_len(value.len() as u32);
-            let value_at = pos as u32;
-            pos += value.len();
-            entries.push(EntrySpan {
-                key_at,
-                key_len: key.len() as u32,
-                value_at,
-                value_len: value.len() as u32,
-                ty,
-            });
-        }
-        debug_assert_eq!(pos, record.len(), "span walk must mirror encode");
-        PreparedWrite {
-            record,
-            entries,
-            first_seq: 0,
-            count: batch.len() as u64,
-            payload_bytes,
-            sync,
-        }
-    }
-
-    /// Stamps the assigned first sequence into the WAL record header and
-    /// remembers it for the memtable replay (entry `i` gets
-    /// `first_seq + i`).
-    pub fn patch_seq(&mut self, first_seq: SequenceNumber) {
-        self.record[0..8].copy_from_slice(&first_seq.to_le_bytes());
-        self.first_seq = first_seq;
-    }
-
-    /// Replays the batch into `mem`, building each internal key in
-    /// `scratch` (reused across entries).
-    ///
-    /// Must run after [`patch_seq`](Self::patch_seq).
-    pub fn apply_to(&self, mem: &MemTable, scratch: &mut Vec<u8>) {
-        for (i, span) in self.entries.iter().enumerate() {
-            let key = &self.record[span.key_at as usize..(span.key_at + span.key_len) as usize];
-            let value =
-                &self.record[span.value_at as usize..(span.value_at + span.value_len) as usize];
-            let tag = ((self.first_seq + i as u64) << 8) | span.ty as u64;
-            scratch.clear();
-            scratch.extend_from_slice(key);
-            scratch.extend_from_slice(&tag.to_le_bytes());
-            mem.apply_encoded(scratch, value);
-        }
-    }
-}
-
-/// Length in bytes of `v`'s varint32 encoding.
-#[inline]
-fn varint32_len(mut v: u32) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
 
 /// FIFO queue of writes awaiting commit, drained in groups by a leader.
 ///
 /// Ids are assigned contiguously at enqueue time and the leader always
-/// drains from the front, so `completed` is a watermark: every id below
-/// it has either committed or failed (failed ids park their error in
-/// `failures` until the owner collects it).
+/// drains from the front, so the front of `pending` has id
+/// `next_id - pending.len()`, and `completed` is a watermark: every id
+/// below it has either committed or failed (failed ids park their error
+/// in `failures` until the owner collects it).
+#[derive(Default)]
 pub(crate) struct CommitQueue {
     /// Writes not yet taken by a leader, in id order.
-    pub pending: VecDeque<(u64, PreparedWrite)>,
+    pub pending: VecDeque<PreparedWrite>,
     /// Id the next enqueued write receives.
     pub next_id: u64,
     /// All ids `< completed` are finished.
@@ -155,16 +48,6 @@ pub(crate) struct CommitQueue {
 }
 
 impl CommitQueue {
-    fn new() -> Self {
-        CommitQueue {
-            pending: VecDeque::new(),
-            next_id: 0,
-            completed: 0,
-            leader_active: false,
-            failures: Vec::new(),
-        }
-    }
-
     /// Removes and returns the parked error for `id`, if it failed.
     pub fn take_failure(&mut self, id: u64) -> Option<Error> {
         let at = self.failures.iter().position(|(fid, _)| *fid == id)?;
@@ -176,6 +59,7 @@ impl CommitQueue {
 ///
 /// Workers hold only this (plus a `Weak` handle to the engine), so the
 /// pool never keeps the database alive on its own.
+#[derive(Default)]
 pub(crate) struct BgShared {
     /// Monotonic work-arrival counter; bumped by [`kick`](Self::kick).
     work: Mutex<u64>,
@@ -184,14 +68,6 @@ pub(crate) struct BgShared {
 }
 
 impl BgShared {
-    fn new() -> Self {
-        BgShared {
-            work: Mutex::new(0),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
     /// Announces that background work may be available.
     pub fn kick(&self) {
         *self.work.lock() += 1;
@@ -273,6 +149,8 @@ impl JobBudget {
 }
 
 /// Per-database concurrency state for wall-clock (real) execution mode.
+/// Workers are spawned and registered by the engine.
+#[derive(Default)]
 pub(crate) struct Runtime {
     /// Group-commit queue; writers park here and a leader drains it.
     pub commit: Mutex<CommitQueue>,
@@ -284,53 +162,10 @@ pub(crate) struct Runtime {
     pub done_cv: Condvar,
     /// Worker-pool signalling.
     pub bg: Arc<BgShared>,
-    /// Largest sequence number visible to readers. Published at the end
-    /// of each commit, read lock-free by `get`/`scan`.
-    visible_seq: AtomicU64,
-    /// Sticky fatal error (WAL append or background job failure). Once
-    /// set, writes and maintenance calls fail with a clone of it rather
-    /// than risk acknowledging writes that recovery would drop.
-    fatal: Mutex<Option<Error>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Runtime {
-    /// Creates the runtime with reader visibility starting at `last_seq`.
-    pub fn new(last_seq: SequenceNumber) -> Self {
-        Runtime {
-            commit: Mutex::new(CommitQueue::new()),
-            commit_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            bg: Arc::new(BgShared::new()),
-            visible_seq: AtomicU64::new(last_seq),
-            fatal: Mutex::new(None),
-            workers: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Largest sequence visible to readers.
-    pub fn visible_seq(&self) -> SequenceNumber {
-        self.visible_seq.load(Ordering::Acquire)
-    }
-
-    /// Publishes a new reader-visible sequence watermark.
-    pub fn publish_visible(&self, seq: SequenceNumber) {
-        self.visible_seq.store(seq, Ordering::Release);
-    }
-
-    /// Returns the sticky fatal error, if any.
-    pub fn fatal_error(&self) -> Option<Error> {
-        self.fatal.lock().clone()
-    }
-
-    /// Records a fatal error (first one wins).
-    pub fn set_fatal(&self, err: Error) {
-        let mut slot = self.fatal.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-    }
-
     /// Registers a spawned worker handle for join-at-drop.
     pub fn register_worker(&self, handle: JoinHandle<()>) {
         self.workers.lock().push(handle);
